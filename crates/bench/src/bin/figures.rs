@@ -342,10 +342,10 @@ fn fig_phases() {
 /// within ~2–3× steady state — the maintenance-cost-tracks-the-update
 /// contract extended to durability. Caveat (`cores` is in the JSON): the
 /// background *during* percentiles carry (a) the one-time copy-on-write
-/// unshare the first post-capture write pays per touched
-/// document/extent, and (b) on a single-core runner, CPU contention
-/// with the encode job itself — page-granular sharing and a second core
-/// respectively remove them.
+/// unshare the first post-capture write pays per touched extent (and,
+/// in the checked-in JSON, per touched document: it predates the paged
+/// node map), and (b) on a single-core runner, CPU contention with the
+/// encode job itself, which a second core removes.
 ///
 /// Phase accounting (the old 2400-book anomaly, where background's
 /// *steady* p99 read worse than stop-the-world's): registration-time

@@ -212,12 +212,7 @@ pub fn widen_modify(
     new_value: &str,
 ) -> Result<WidenedModify, UpdateError> {
     let parent = anchor.parent().expect("bound anchor below the root");
-    let siblings: Vec<FlexKey> = store.children(&parent).into_iter().map(|(k, _)| k).collect();
-    let idx = siblings
-        .iter()
-        .position(|k| *k == anchor)
-        .ok_or_else(|| UpdateError(format!("anchor {anchor} vanished")))?;
-    let pos = if idx > 0 { InsertPos::After(siblings[idx - 1].clone()) } else { InsertPos::First };
+    let pos = store.prev_sibling(&anchor).map_or(InsertPos::First, InsertPos::After);
     let mut frag = store
         .extract_frag(&anchor)
         .ok_or_else(|| UpdateError(format!("anchor {anchor} vanished")))?;

@@ -59,8 +59,9 @@
 //! [`CheckpointMode::Background`], a rotation:
 //!
 //! 1. captures a [`Snapshot`] of the current state in O(documents) time
-//!    (the store's node maps are Arc-shared copy-on-write —
-//!    `xmlstore::Store::frozen`);
+//!    (the store's node maps are Arc-shared page by page, copy-on-write —
+//!    `xmlstore::Store::frozen` — so the commits that follow copy the
+//!    pages they write, not the documents);
 //! 2. **seals** the current WAL generation N: appends a
 //!    [`wire::SealRecord`] manifest (record/byte counts, successor
 //!    generation) and fsyncs it;

@@ -281,6 +281,9 @@ struct EpochMetrics {
     publishes: Arc<obs::Counter>,
     /// Capture + swap latency per publish.
     publish: Arc<obs::Histogram>,
+    /// Dropping the superseded epoch after the swap: frees whatever pages
+    /// and extents it alone still owned (nothing while a reader pins it).
+    retire: Arc<obs::Histogram>,
     /// Epoch-pinned reads served.
     reads: Arc<obs::Counter>,
     /// Epoch age observed at each read — the staleness distribution.
@@ -294,6 +297,7 @@ impl EpochMetrics {
         EpochMetrics {
             publishes: reg.counter("epoch/publishes"),
             publish: reg.histogram("epoch/publish"),
+            retire: reg.histogram("epoch/retire"),
             reads: reg.counter("epoch/reads"),
             staleness: reg.histogram("epoch/staleness"),
             readers: reg.gauge("epoch/readers"),
@@ -338,13 +342,16 @@ impl EpochPublisher {
         let t0 = Instant::now();
         let seq = self.published.load(Ordering::Relaxed) + 1;
         let epoch = Arc::new(Epoch::capture(seq, catalog, durable, catalog.stats()));
-        drop(self.cell.swap(epoch));
+        let superseded = self.cell.swap(epoch);
         // Release-publish the sequence *after* the cell holds the new
         // epoch: a reader that observes the bumped sequence is
         // guaranteed to load an epoch at least that fresh.
         self.published.store(seq, Ordering::Release);
         self.m.publishes.inc();
-        self.m.publish.record_duration(t0.elapsed());
+        let swapped = t0.elapsed();
+        self.m.publish.record_duration(swapped);
+        drop(superseded);
+        self.m.retire.record_duration(t0.elapsed() - swapped);
     }
 
     /// [`EpochPublisher::start`] from a [`crate::HubInner`], deriving

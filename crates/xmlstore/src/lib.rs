@@ -7,9 +7,11 @@
 //! reassignment.
 //!
 //! Our substitution (documented in DESIGN.md): an in-memory [`Store`] of
-//! documents, each a `BTreeMap<FlexKey, Node>`. Because FlexKey comparison
-//! *is* document order, an ordered map gives us MASS's two load-bearing
-//! properties for free:
+//! documents, each an ordered `FlexKey → Node` map held as `Arc`-shared
+//! pages (so a frozen copy costs nothing and a write after one copies a
+//! page, not the document). Because FlexKey comparison *is* document
+//! order, an ordered map gives us MASS's two load-bearing properties for
+//! free:
 //!
 //! * `children` / `descendants` are range scans — no sorting ever;
 //! * `insert_fragment` allocates fresh keys strictly between existing
@@ -21,6 +23,7 @@
 //! query-computed counts.
 
 pub mod frag;
+mod pagemap;
 pub mod parse;
 pub mod store;
 pub mod wirecodec;

@@ -6,11 +6,10 @@
 //! allocate keys without relabeling existing nodes.
 
 use crate::frag::{Frag, NodeData};
+use crate::pagemap::PageMap;
 use crate::parse::{parse_document, ParseError};
 use flexkey::{FlexKey, Seg};
 use std::collections::BTreeMap;
-use std::ops::Bound;
-use std::sync::Arc;
 
 /// A stored XML node: its data plus the count annotation of Chapter 6.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,16 +21,18 @@ pub struct Node {
 
 /// One stored document: a name, a root key, and the FlexKey-ordered node map.
 ///
-/// The node map is `Arc`-shared copy-on-write: cloning a `Doc` (and hence a
-/// whole [`Store`]) shares the map instead of deep-copying it, so a frozen
-/// checkpoint epoch ([`Store::frozen`]) costs O(documents), not O(nodes).
-/// The first mutation of a shared document unshares its map once
-/// (`Arc::make_mut`); value semantics are unchanged.
+/// The node map is a sequence of `Arc`-shared pages under an `Arc`-shared
+/// fence index (the private `pagemap` module): cloning a `Doc` (and hence a whole
+/// [`Store`]) shares all of it, so a frozen epoch ([`Store::frozen`]) costs
+/// O(documents), not O(nodes). A mutation of a shared document copies the
+/// fence index (one pointer per page) and the one or two pages it touches
+/// — O(page), not O(document) — and every untouched page stays shared;
+/// value semantics are unchanged.
 #[derive(Clone, Debug, Default)]
 pub struct Doc {
     pub name: String,
     pub root: FlexKey,
-    nodes: Arc<BTreeMap<FlexKey, Node>>,
+    nodes: PageMap,
 }
 
 /// Where to place an inserted fragment among its new siblings.
@@ -85,12 +86,13 @@ impl Store {
         // around them.
         let handle = FlexKey::root(Seg::nth(self.next_root * 3));
         self.next_root += 1;
-        let mut doc = Doc { name: name.to_string(), root: handle.clone(), nodes: Arc::default() };
-        doc.nodes_mut()
-            .insert(handle.clone(), Node { data: NodeData::element("#document"), count: 1 });
         let elem_root = handle.nth_child(0);
-        insert_frag_at(doc.nodes_mut(), elem_root.clone(), &frag, 2);
-        self.docs.insert(name.to_string(), doc);
+        // Depth-first key assignment emits the nodes in document order:
+        // the stream bulk-loads straight into pages.
+        let mut nodes =
+            vec![(handle.clone(), Node { data: NodeData::element("#document"), count: 1 })];
+        key_frag(elem_root.clone(), &frag, &mut |k, n| nodes.push((k, n)));
+        self.docs.insert(name.to_string(), Doc::from_parts(name.to_string(), handle, nodes));
         elem_root
     }
 
@@ -138,6 +140,7 @@ impl Store {
         match self.doc_of(key) {
             None => Vec::new(),
             Some(doc) => doc
+                .nodes
                 .range_after(key)
                 .take_while(|(k, _)| key.is_ancestor_of(k))
                 .filter(|(k, _)| key.is_parent_of(k))
@@ -151,6 +154,7 @@ impl Store {
         match self.doc_of(key) {
             None => Vec::new(),
             Some(doc) => doc
+                .nodes
                 .range_after(key)
                 .take_while(|(k, _)| key.is_ancestor_of(k))
                 .map(|(k, n)| (k.clone(), n))
@@ -186,7 +190,7 @@ impl Store {
         if let Some(Node { data: NodeData::Text { value }, .. }) = doc.nodes.get(key) {
             out.push_str(value);
         }
-        for (k, n) in doc.range_after(key) {
+        for (k, n) in doc.nodes.range_after(key) {
             if !key.is_ancestor_of(k) {
                 break;
             }
@@ -227,49 +231,41 @@ impl Store {
         // FlexKeys are stable, so a position like "after book[2]" stays
         // well-defined even when a batch deleted that book first (the
         // Figure 1.3 batch does exactly this — insert after a book, then
-        // delete it).
-        let siblings: Vec<FlexKey> = self.children(parent).into_iter().map(|(k, _)| k).collect();
+        // delete it). Each neighbour is one probe of the node map.
+        let doc = self.doc_of_mut(parent)?;
+        let nodes = &doc.nodes;
         let (lo, hi): (Option<FlexKey>, Option<FlexKey>) = match &pos {
-            InsertPos::First => (None, siblings.first().cloned()),
-            InsertPos::Last => (siblings.last().cloned(), None),
+            InsertPos::First => (None, child_toward(parent, nodes.range_after(parent).next())),
+            InsertPos::Last => (child_toward(parent, nodes.last_through_subtree(parent)), None),
             InsertPos::Before(k) => {
                 if !parent.is_parent_of(k) {
                     return None;
                 }
-                (siblings.iter().rfind(|s| *s < k).cloned(), Some(k.clone()))
+                (child_toward(parent, nodes.last_before(k)), Some(k.clone()))
             }
             InsertPos::After(k) => {
                 if !parent.is_parent_of(k) {
                     return None;
                 }
-                (Some(k.clone()), siblings.iter().find(|s| *s > k).cloned())
+                (Some(k.clone()), child_toward(parent, nodes.first_after_subtree(k)))
             }
         };
-        let doc = self.doc_of_mut(parent)?;
         let root = FlexKey::sibling_between(parent, lo.as_ref(), hi.as_ref());
-        insert_frag_at(doc.nodes_mut(), root.clone(), frag, 2);
+        key_frag(root.clone(), frag, &mut |k, n| doc.nodes.insert(k, n));
         Some(root)
+    }
+
+    /// The sibling preceding `key` in document order, if any. Resolved by
+    /// key value with one backward probe: `key` itself need not exist.
+    pub fn prev_sibling(&self, key: &FlexKey) -> Option<FlexKey> {
+        let parent = key.parent()?;
+        child_toward(&parent, self.doc_of(key)?.nodes.last_before(key))
     }
 
     /// Delete the subtree rooted at `key`. Returns the number of nodes
     /// removed (0 if the key does not exist).
     pub fn delete_subtree(&mut self, key: &FlexKey) -> usize {
-        let Some(doc) = self.doc_of_mut(key) else { return 0 };
-        if !doc.nodes.contains_key(key) {
-            return 0;
-        }
-        let to_remove: Vec<FlexKey> = std::iter::once(key.clone())
-            .chain(
-                doc.range_after(key)
-                    .take_while(|(k, _)| key.is_ancestor_of(k))
-                    .map(|(k, _)| k.clone()),
-            )
-            .collect();
-        let nodes = doc.nodes_mut();
-        for k in &to_remove {
-            nodes.remove(k);
-        }
-        to_remove.len()
+        self.doc_of_mut(key).map_or(0, |doc| doc.nodes.remove_subtree(key))
     }
 
     /// Replace the text content of the node at `key`. If `key` is a text
@@ -289,7 +285,7 @@ impl Store {
         };
         let Some(target) = target else { return false };
         let Some(doc) = self.doc_of_mut(&target) else { return false };
-        if let Some(node) = doc.nodes_mut().get_mut(&target) {
+        if let Some(node) = doc.nodes.get_mut(&target) {
             node.data = NodeData::text(new_value);
             true
         } else {
@@ -300,13 +296,12 @@ impl Store {
     /// Replace the value of attribute `name` on the element at `key`.
     pub fn replace_attr(&mut self, key: &FlexKey, name: &str, new_value: &str) -> bool {
         let Some(doc) = self.doc_of_mut(key) else { return false };
-        // Probe through the shared map first: unsharing (an O(document)
-        // copy while a frozen snapshot holds the other reference) is only
+        // Probe through the shared map first: unsharing a page is only
         // worth paying when there is an element to mutate.
         if !matches!(doc.nodes.get(key), Some(Node { data: NodeData::Element { .. }, .. })) {
             return false;
         }
-        match doc.nodes_mut().get_mut(key) {
+        match doc.nodes.get_mut(key) {
             Some(Node { data: NodeData::Element { attrs, .. }, .. }) => {
                 match attrs.iter_mut().find(|(k, _)| k == name) {
                     Some((_, v)) => {
@@ -334,14 +329,16 @@ impl Store {
         self.docs.values().map(|d| d.nodes.len()).sum()
     }
 
-    /// A frozen checkpoint epoch of the store: an independent `Store`
-    /// value capturing the current state in O(documents) time, because
-    /// every node map is `Arc`-shared rather than copied. Mutating either
-    /// side afterwards unshares only the touched document (copy-on-write),
-    /// so a snapshot writer can encode the frozen epoch on another thread
-    /// while ingestion keeps committing — the non-blocking checkpoint
-    /// primitive. Semantically identical to `clone()` (which is equally
-    /// cheap); the name states the intent at checkpoint call sites.
+    /// A frozen epoch of the store: an independent `Store` value capturing
+    /// the current state in O(documents) time, because every node map is
+    /// shared page by page rather than copied. Mutating either side
+    /// afterwards copies only the touched pages and their document's fence
+    /// index (copy-on-write at page granularity), and dropping either side
+    /// frees only the pages it alone owns — so a snapshot writer or an
+    /// epoch reader can hold the frozen state on another thread while
+    /// ingestion keeps committing at a cost independent of document size.
+    /// Semantically identical to `clone()` (which is equally cheap); the
+    /// name states the intent at checkpoint and publish call sites.
     pub fn frozen(&self) -> Store {
         self.clone()
     }
@@ -381,20 +378,11 @@ impl Store {
 }
 
 impl Doc {
-    /// Reassemble a document from decoded parts (wire codec only).
-    pub(crate) fn from_parts(name: String, root: FlexKey, nodes: BTreeMap<FlexKey, Node>) -> Doc {
-        Doc { name, root, nodes: Arc::new(nodes) }
-    }
-
-    /// Mutable access to the node map, unsharing it first if a frozen
-    /// clone still holds the previous epoch (copy-on-write point).
-    fn nodes_mut(&mut self) -> &mut BTreeMap<FlexKey, Node> {
-        Arc::make_mut(&mut self.nodes)
-    }
-
-    /// Iterate nodes strictly after `key` in document order.
-    fn range_after(&self, key: &FlexKey) -> impl Iterator<Item = (&FlexKey, &Node)> {
-        self.nodes.range((Bound::Excluded(key.clone()), Bound::Unbounded))
+    /// Assemble a document from its node stream (document load and the
+    /// wire codec), bulk-loading the pages. The stream need not be sorted:
+    /// the last of equal keys wins, as if inserted one by one.
+    pub(crate) fn from_parts(name: String, root: FlexKey, nodes: Vec<(FlexKey, Node)>) -> Doc {
+        Doc { name, root, nodes: PageMap::from_entries(nodes) }
     }
 
     /// Number of nodes in the document.
@@ -403,23 +391,36 @@ impl Doc {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.len() == 0
     }
 
     /// Iterate all nodes in document order.
     pub fn iter(&self) -> impl Iterator<Item = (&FlexKey, &Node)> {
         self.nodes.iter()
     }
+
+    /// Panic unless the node map's page invariants hold.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
+        self.nodes.check_invariants();
+    }
 }
 
-/// Recursively key and insert `frag` at `key`. `spacing` controls the stride
-/// of child segments (a stride of 2 mirrors the paper's gap-leaving
+/// Key `frag` at `key` and hand its nodes to `sink` in document order.
+/// Children take every second canonical segment (the paper's gap-leaving
 /// assignment: b, d, f, …).
-fn insert_frag_at(nodes: &mut BTreeMap<FlexKey, Node>, key: FlexKey, frag: &Frag, spacing: usize) {
-    nodes.insert(key.clone(), Node { data: frag.data.clone(), count: frag.count });
+fn key_frag(key: FlexKey, frag: &Frag, sink: &mut impl FnMut(FlexKey, Node)) {
+    sink(key.clone(), Node { data: frag.data.clone(), count: frag.count });
     for (i, c) in frag.children.iter().enumerate() {
-        insert_frag_at(nodes, key.nth_child(i * spacing), c, spacing);
+        key_frag(key.nth_child(i * 2), c, sink);
     }
+}
+
+/// The child of `parent` that `entry`'s key is, or lies below: how a
+/// neighbouring entry found by one probe names the neighbouring sibling.
+fn child_toward(parent: &FlexKey, entry: Option<(&FlexKey, &Node)>) -> Option<FlexKey> {
+    let (k, _) = entry?;
+    parent.is_ancestor_of(k).then(|| FlexKey::from_segs(k.segs()[..parent.depth() + 1].to_vec()))
 }
 
 #[cfg(test)]
@@ -611,5 +612,280 @@ mod tests {
         let books = s.children_named(&bib, "book");
         assert!(s.replace_attr(&books[0], "year", "1995"));
         assert_eq!(s.attr(&books[0], "year"), Some("1995".into()));
+    }
+
+    fn book_frag() -> Frag {
+        Frag::elem("book")
+            .attr("year", "1999")
+            .child(Frag::elem("title").text_child("Probe"))
+            .child(
+                Frag::elem("author")
+                    .child(Frag::elem("last").text_child("L"))
+                    .child(Frag::elem("first").text_child("F")),
+            )
+    }
+
+    /// The O(page) copy-on-write contract at the `restart` scale: one book
+    /// inserted after a freeze leaves all but a handful of the document's
+    /// pages shared with the frozen copy.
+    #[test]
+    fn insert_after_frozen_unshares_a_few_pages() {
+        let mut xml = String::from("<bib>");
+        for i in 0..2400 {
+            xml.push_str(&format!(
+                "<book year=\"{}\"><title>T{i}</title>\
+                 <author><last>L{i}</last><first>F{i}</first></author></book>",
+                1990 + i % 20
+            ));
+        }
+        xml.push_str("</bib>");
+        let mut live = Store::new();
+        let bib = live.load_doc("bib.xml", &xml).unwrap();
+        let books = live.children_named(&bib, "book");
+        let frozen = live.frozen();
+        live.insert_fragment(&bib, InsertPos::After(books[1700].clone()), &book_frag()).unwrap();
+
+        let (l, f) = (&live.docs["bib.xml"].nodes, &frozen.docs["bib.xml"].nodes);
+        l.check_invariants();
+        assert!(f.page_count() > 100, "a document of {} pages", f.page_count());
+        assert!(l.pages_not_in(f) <= 3, "{} pages unshared", l.pages_not_in(f));
+        assert!(f.pages_not_in(l) <= 2, "{} pages superseded", f.pages_not_in(l));
+        assert_eq!(live.total_nodes(), frozen.total_nodes() + 8);
+        assert_eq!(frozen.children_named(&bib, "book").len(), 2400);
+        assert_eq!(live.children_named(&bib, "book").len(), 2401);
+    }
+
+    /// Tiny deterministic generator (no external deps in this crate).
+    struct TestRng(u64);
+
+    impl TestRng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as usize) % bound
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+
+        /// A fragment of random shape; now and then wide enough to split
+        /// pages several times over.
+        fn frag(&mut self, depth: usize) -> Frag {
+            if depth == 0 || self.below(4) == 0 {
+                return Frag::text(format!("t{}", self.below(1000)));
+            }
+            let mut f = Frag::elem(["a", "b", "c"][self.below(3)]).attr("id", "0");
+            if self.below(12) == 0 {
+                for i in 0..40 + self.below(60) {
+                    f = f.child(Frag::elem("wide").text_child(format!("w{i}")));
+                }
+            } else {
+                for _ in 0..self.below(4) {
+                    f = f.child(self.frag(depth - 1));
+                }
+            }
+            f
+        }
+    }
+
+    /// The plain-`BTreeMap` model the paged map must be indistinguishable
+    /// from: the old `Doc` layout, with the old scan-everything algorithms.
+    #[derive(Clone, Default)]
+    struct Oracle(BTreeMap<FlexKey, Node>);
+
+    impl Oracle {
+        fn below<'a>(&'a self, key: &'a FlexKey) -> impl Iterator<Item = (&'a FlexKey, &'a Node)> {
+            self.0
+                .range((std::ops::Bound::Excluded(key.clone()), std::ops::Bound::Unbounded))
+                .take_while(move |(k, _)| key.is_ancestor_of(k))
+        }
+
+        fn children(&self, key: &FlexKey) -> Vec<FlexKey> {
+            self.below(key).filter(|(k, _)| key.is_parent_of(k)).map(|(k, _)| k.clone()).collect()
+        }
+
+        fn insert(&mut self, key: FlexKey, frag: &Frag) {
+            self.0.insert(key.clone(), Node { data: frag.data.clone(), count: frag.count });
+            for (i, c) in frag.children.iter().enumerate() {
+                self.insert(key.nth_child(i * 2), c);
+            }
+        }
+
+        fn delete(&mut self, key: &FlexKey) -> usize {
+            if !self.0.contains_key(key) {
+                return 0;
+            }
+            let gone: Vec<FlexKey> = std::iter::once(key.clone())
+                .chain(self.below(key).map(|(k, _)| k.clone()))
+                .collect();
+            gone.iter().for_each(|k| drop(self.0.remove(k)));
+            gone.len()
+        }
+
+        fn string_value(&self, key: &FlexKey) -> String {
+            self.0
+                .get(key)
+                .into_iter()
+                .chain(self.below(key).map(|(_, n)| n))
+                .filter_map(|n| match &n.data {
+                    NodeData::Text { value } => Some(value.as_str()),
+                    NodeData::Element { .. } => None,
+                })
+                .collect()
+        }
+
+        /// The store this model describes, sharing nothing with any other.
+        fn deep_copy(&self, like: &Store) -> Store {
+            let docs = like
+                .docs
+                .values()
+                .map(|d| {
+                    let nodes = std::iter::once((&d.root, &self.0[&d.root]))
+                        .chain(self.below(&d.root))
+                        .map(|(k, n)| (k.clone(), n.clone()))
+                        .collect();
+                    (d.name.clone(), Doc::from_parts(d.name.clone(), d.root.clone(), nodes))
+                })
+                .collect();
+            Store::from_parts(docs, like.next_root)
+        }
+    }
+
+    /// Seeded model test: random updates against the oracle, with frozen
+    /// copies taken (and dropped) along the way. After every operation the
+    /// page invariants hold, every read agrees with the oracle, and every
+    /// frozen copy still equals the deep copy taken at its step.
+    #[test]
+    fn model_random_ops_match_btreemap_oracle() {
+        for seed in [1, 2] {
+            let mut rng = TestRng(seed);
+            let mut store = two_docs();
+            let mut oracle = Oracle::default();
+            for doc in store.docs.values() {
+                oracle.0.extend(doc.iter().map(|(k, n)| (k.clone(), n.clone())));
+            }
+            let handles: Vec<FlexKey> = store.docs.values().map(|d| d.root.clone()).collect();
+            let mut frozen: Vec<(Store, Store)> = Vec::new();
+            let mut deleted: Vec<FlexKey> = Vec::new();
+
+            for step in 0..250 {
+                let keys: Vec<FlexKey> = oracle.0.keys().cloned().collect();
+                let key = rng.pick(&keys).clone();
+                // Past a thousand-odd nodes (some twenty pages), deletes outnumber inserts.
+                let op = if keys.len() > 1200 { 2 + rng.below(8) } else { rng.below(10) };
+                match op {
+                    0..=3 => {
+                        let elems: Vec<&FlexKey> = keys
+                            .iter()
+                            .filter(|k| matches!(oracle.0[*k].data, NodeData::Element { .. }))
+                            .collect();
+                        let parent = (*rng.pick(&elems)).clone();
+                        let siblings = oracle.children(&parent);
+                        // Anchors resolve by key value: a deleted sibling
+                        // is as good an anchor as a live one.
+                        let gone: Vec<&FlexKey> =
+                            deleted.iter().filter(|k| parent.is_parent_of(k)).collect();
+                        let anchor = match (siblings.is_empty(), gone.is_empty()) {
+                            (true, true) => None,
+                            (false, true) => Some(rng.pick(&siblings).clone()),
+                            (true, false) => Some((*rng.pick(&gone)).clone()),
+                            (false, false) if rng.below(4) == 0 => Some((*rng.pick(&gone)).clone()),
+                            (false, false) => Some(rng.pick(&siblings).clone()),
+                        };
+                        let pos = match (rng.below(4), anchor) {
+                            (0, _) | (_, None) => InsertPos::First,
+                            (1, _) => InsertPos::Last,
+                            (2, Some(a)) => InsertPos::Before(a),
+                            (_, Some(a)) => InsertPos::After(a),
+                        };
+                        let (lo, hi) = match &pos {
+                            InsertPos::First => (None, siblings.first()),
+                            InsertPos::Last => (siblings.last(), None),
+                            InsertPos::Before(a) => (siblings.iter().rfind(|s| *s < a), Some(a)),
+                            InsertPos::After(a) => (Some(a), siblings.iter().find(|s| *s > a)),
+                        };
+                        let want = FlexKey::sibling_between(&parent, lo, hi);
+                        let frag = rng.frag(3);
+                        let got = store.insert_fragment(&parent, pos.clone(), &frag);
+                        assert_eq!(got.as_ref(), Some(&want), "seed {seed} step {step}: {pos:?}");
+                        oracle.insert(want, &frag);
+                    }
+                    // (Never a document node or a root element.)
+                    4..=5 if key.depth() > 2 => {
+                        assert_eq!(store.delete_subtree(&key), oracle.delete(&key));
+                        assert_eq!(store.delete_subtree(&key), 0, "already gone");
+                        deleted.push(key.clone());
+                    }
+                    6 => {
+                        let target = match &oracle.0[&key].data {
+                            NodeData::Text { .. } => Some(key.clone()),
+                            NodeData::Element { .. } => oracle
+                                .children(&key)
+                                .into_iter()
+                                .find(|c| matches!(oracle.0[c].data, NodeData::Text { .. })),
+                        };
+                        assert_eq!(store.replace_text(&key, "new text"), target.is_some());
+                        if let Some(t) = target {
+                            oracle.0.get_mut(&t).unwrap().data = NodeData::text("new text");
+                        }
+                    }
+                    7 => {
+                        let value = format!("v{step}");
+                        let model = oracle.0.get_mut(&key).unwrap();
+                        let is_elem = matches!(model.data, NodeData::Element { .. });
+                        assert_eq!(store.replace_attr(&key, "id", &value), is_elem);
+                        if let NodeData::Element { attrs, .. } = &mut model.data {
+                            match attrs.iter_mut().find(|(k, _)| k == "id") {
+                                Some((_, v)) => *v = value,
+                                None => attrs.push(("id".to_string(), value)),
+                            }
+                        }
+                    }
+                    8 => {
+                        frozen.push((store.frozen(), oracle.deep_copy(&store)));
+                        if frozen.len() > 3 {
+                            frozen.remove(rng.below(frozen.len()));
+                        }
+                    }
+                    _ => {
+                        // Reads on a key that is gone find nothing.
+                        if let Some(k) = deleted.last() {
+                            assert!(store.node(k).is_none() && store.children(k).is_empty());
+                            assert_eq!(store.string_value(k), "");
+                        }
+                    }
+                }
+
+                for doc in store.docs.values() {
+                    doc.check_invariants();
+                }
+                assert_eq!(store.total_nodes(), oracle.0.len(), "seed {seed} step {step}");
+                let stored = store.docs.values().flat_map(|d| d.iter());
+                assert!(stored.eq(oracle.0.iter()), "seed {seed} step {step}: iter");
+                // (A document handle's parent is the empty key, in no document.)
+                let parent = key.parent().filter(|p| !p.is_empty()).unwrap_or(key.clone());
+                for k in [&key, &parent, rng.pick(&keys), rng.pick(&handles)] {
+                    assert_eq!(store.node(k), oracle.0.get(k), "node {k}");
+                    let kids: Vec<FlexKey> =
+                        store.children(k).into_iter().map(|(c, _)| c).collect();
+                    assert_eq!(kids, oracle.children(k), "children {k}");
+                    let below: Vec<(&FlexKey, &Node)> = oracle.below(k).collect();
+                    let got = store.descendants(k);
+                    assert!(got.iter().map(|(k, n)| (k, *n)).eq(below), "descendants {k}");
+                    assert_eq!(store.string_value(k), oracle.string_value(k), "string_value {k}");
+                    if k.depth() > 1 {
+                        let before = oracle.children(&k.parent().unwrap());
+                        let prev = before.iter().rfind(|s| *s < k);
+                        assert_eq!(store.prev_sibling(k).as_ref(), prev, "prev_sibling {k}");
+                    }
+                }
+                for (copy, deep) in &frozen {
+                    assert!(
+                        copy.same_content(deep),
+                        "seed {seed} step {step}: a frozen copy moved"
+                    );
+                }
+            }
+        }
     }
 }

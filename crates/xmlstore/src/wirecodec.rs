@@ -13,8 +13,9 @@
 //!
 //! Decoding re-validates what the in-memory constructors would: segment
 //! alphabets come back through [`flexkey`]'s validating codec, strings
-//! through UTF-8 checks. Map entries re-collect into `BTreeMap`s, so even
-//! a permuted (hand-crafted) encoding yields a correctly ordered store.
+//! through UTF-8 checks. A document's node stream bulk-loads into pages;
+//! a permuted or key-repeating (hand-crafted) stream is sorted first, the
+//! last of equal keys winning, so it still yields a correctly ordered store.
 
 use crate::frag::{Frag, NodeData};
 use crate::store::{Doc, Node, Store};
@@ -95,11 +96,9 @@ impl Decode for Doc {
         let name = String::decode(r)?;
         let root = FlexKey::decode(r)?;
         let n = r.len_prefix()?;
-        let mut nodes = BTreeMap::new();
+        let mut nodes = Vec::new();
         for _ in 0..n {
-            let key = FlexKey::decode(r)?;
-            let node = Node::decode(r)?;
-            nodes.insert(key, node);
+            nodes.push((FlexKey::decode(r)?, Node::decode(r)?));
         }
         Ok(Doc::from_parts(name, root, nodes))
     }
@@ -227,6 +226,84 @@ mod tests {
         s.replace_attr(&books[0], "year", "1995");
         let back: Store = wire::from_slice(&wire::to_vec(&s)).unwrap();
         assert!(s.same_content(&back));
+    }
+
+    /// A store whose bib.xml has been through inserts, a delete and page
+    /// splits since it was loaded.
+    fn updated_store() -> Store {
+        let mut s = Store::new();
+        s.load_doc("bib.xml", BIB).unwrap();
+        s.load_doc("prices.xml", "<prices><entry><price>9.95</price></entry></prices>").unwrap();
+        let root = s.doc_root("bib.xml").unwrap();
+        let books = s.children_named(&root, "book");
+        for i in 0..40 {
+            let frag = Frag::elem("book")
+                .attr("year", format!("{}", 1950 + i))
+                .child(Frag::elem("title").text_child(format!("Book {i}")));
+            s.insert_fragment(&root, InsertPos::After(books[0].clone()), &frag).unwrap();
+        }
+        s.delete_subtree(&books[1]);
+        s
+    }
+
+    /// The `Doc` encoding before the node map was paged: its nodes in a
+    /// `BTreeMap`, written name, root, count, then entries in key order.
+    fn encode_btreemap_layout(s: &Store, out: &mut Vec<u8>) {
+        put_u64(out, s.docs().len() as u64);
+        for doc in s.docs().values() {
+            let nodes: BTreeMap<&FlexKey, &Node> = doc.iter().collect();
+            doc.name.encode(out);
+            doc.root.encode(out);
+            put_u64(out, nodes.len() as u64);
+            for (k, n) in nodes {
+                k.encode(out);
+                n.encode(out);
+            }
+        }
+        s.next_root().encode(out);
+    }
+
+    #[test]
+    fn paged_store_encodes_the_btreemap_layout_bytes() {
+        let s = updated_store();
+        let mut old = Vec::new();
+        encode_btreemap_layout(&s, &mut old);
+        assert_eq!(wire::to_vec(&s), old, "snapshots keep their bytes");
+        let back: Store = wire::from_slice(&old).unwrap();
+        assert!(s.same_content(&back));
+        back.docs().values().for_each(Doc::check_invariants);
+    }
+
+    /// The old decoder re-collected entries into a `BTreeMap`, so it took
+    /// a permuted stream, and a repeated key kept its last node. The
+    /// bulk-loading decoder must accept the same and build sound pages.
+    #[test]
+    fn unordered_and_repeated_node_streams_decode_like_the_btreemap_did() {
+        let s = updated_store();
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, s.docs().len() as u64);
+        for doc in s.docs().values() {
+            let mut nodes: Vec<(&FlexKey, Node)> =
+                doc.iter().map(|(k, n)| (k, n.clone())).collect();
+            nodes.reverse();
+            // A stale node under an existing key, early in the stream: the
+            // later (true) one must win.
+            nodes.insert(0, (&doc.root, Node { data: NodeData::text("stale"), count: 7 }));
+            let (k, n) = nodes[nodes.len() / 2].clone();
+            nodes.insert(1, (k, Node { count: n.count + 1, ..n }));
+            doc.name.encode(&mut bytes);
+            doc.root.encode(&mut bytes);
+            put_u64(&mut bytes, nodes.len() as u64);
+            for (k, n) in nodes {
+                k.encode(&mut bytes);
+                n.encode(&mut bytes);
+            }
+        }
+        s.next_root().encode(&mut bytes);
+        let back: Store = wire::from_slice(&bytes).unwrap();
+        assert!(s.same_content(&back));
+        back.docs().values().for_each(Doc::check_invariants);
+        assert_eq!(wire::to_vec(&back), wire::to_vec(&s));
     }
 
     #[test]

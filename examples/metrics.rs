@@ -159,6 +159,9 @@ fn main() {
     assert!(snap.events.iter().any(|e| e.kind == xqview::obs::EventKind::WalRotated));
     assert!(snap.counter("epoch/publishes") > 0, "epochs published at batch boundaries");
     assert!(snap.counter("epoch/reads") >= 2, "epoch reads counted");
+    for name in ["epoch/publish", "epoch/retire"] {
+        assert!(snap.histogram(name).is_some_and(|h| h.count() > 0), "publish stage {name}");
+    }
     assert!(snap.gauge("epoch/readers") >= 1, "live read handle holds the gauge");
     assert!(
         snap.histogram("epoch/staleness").is_some_and(|h| h.count() > 0),
