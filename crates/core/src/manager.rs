@@ -396,6 +396,8 @@ mod tests {
             overriding: d(3),
             semid: d(4),
             final_sort: d(5),
+            source_rows: seed * 17,
+            index_probes: seed * 19,
         };
         MaintStats {
             validate: d(6),

@@ -40,9 +40,11 @@ use xmlstore::Store;
 /// and −1 for deletes (the store must still be pre-update). Returns the
 /// delta update tree roots and the accumulated execution statistics.
 ///
-/// When the view reads `doc` more than once, the telescoped IMP terms run
-/// in parallel on `pool` (one engine run per term); the reported
-/// [`ExecStats`] are therefore *summed across terms* — CPU-time-like, and
+/// When the view reads `doc` more than once and the batch carries more
+/// than one fragment, the telescoped IMP terms run in parallel on `pool`
+/// (one engine run per term); a single fragment's terms run inline, in
+/// term order, so a one-update commit never waits on another core. The
+/// reported [`ExecStats`] are *summed across terms* — CPU-time-like, and
 /// possibly larger than the wall time of the call.
 // One parameter per VPA ingredient (pool, store, plan, output, delta
 // spec, options); bundling them into a struct would just rename the
@@ -80,11 +82,10 @@ pub fn propagate_batch(
         let extent = ex.materialize_signed(&items)?;
         Ok((extent.roots, ex.stats))
     };
-    let terms: Vec<Result<(Vec<VNode>, ExecStats), ExecError>> = if k > 1 && pool.threads() > 1 {
-        pool.map((0..k).collect(), run_term)
-    } else {
-        (0..k).map(run_term).collect()
-    };
+    // Same rule as the catalog's per-view rounds (`ViewCatalog::fans_out`).
+    let fan_out = k > 1 && pool.threads() > 1 && frag_roots.len() > 1;
+    let terms: Vec<Result<(Vec<VNode>, ExecStats), ExecError>> =
+        if fan_out { pool.map((0..k).collect(), run_term) } else { (0..k).map(run_term).collect() };
     // Merge in term order: the telescoping sum is order-sensitive in its
     // intermediate shapes, and determinism across pool sizes depends on it.
     for t in terms {

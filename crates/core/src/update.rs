@@ -191,8 +191,13 @@ fn resolve_parts(
 ) -> Result<Vec<ResolvedUpdate>, UpdateError> {
     let handle =
         store.doc_handle(doc).ok_or_else(|| UpdateError(format!("unknown document {doc}")))?;
-    // Bind the target variable.
-    let mut bindings = eval_steps(store, &handle, path)?;
+    // Bind the target variable: through the path-value index when one of
+    // the binding's equality conditions can be looked up, by navigation
+    // otherwise. Either way the `where` clause has the last word.
+    let mut bindings = match indexed_bindings(store, doc, &handle, var, path, where_) {
+        Some(bindings) => bindings,
+        None => eval_steps(store, &handle, path)?,
+    };
     if let Some(w) = where_ {
         bindings.retain(|k| eval_where(store, k, var, w));
     }
@@ -253,6 +258,91 @@ fn resolve_parts(
     Ok(out)
 }
 
+/// The bindings of `path` from the document node `handle`, answered by the
+/// store's path-value index: possible when `path` is plain child-axis name
+/// steps and an equality that narrows it — the last step's `[rel = "v"]`
+/// predicate, or a `$var/rel = "v"` conjunct of the `where` clause — is
+/// over child-axis steps too. Returns exactly what [`eval_steps`] would
+/// for the bindings that satisfy that equality, in document order; `None`
+/// when the index cannot say (descendant axis, wildcard, positional
+/// predicate, non-`=` comparison, mixed content or NaN at the path) and
+/// the caller navigates.
+fn indexed_bindings(
+    store: &Store,
+    doc: &str,
+    handle: &FlexKey,
+    var: &str,
+    path: &[Step],
+    where_: Option<&BoolExpr>,
+) -> Option<Vec<FlexKey>> {
+    let (last, init) = path.split_last()?;
+    let (rel, value) = match (&last.predicate, where_) {
+        (Some(StepPredicate::Cmp { path, op: CmpOp::Eq, value }), _) => (path.as_slice(), value),
+        (None, Some(w)) => eq_conjunct(w, var)?,
+        _ => return None,
+    };
+    // Bindings are elements, reached by plain child steps.
+    let bare = Step { predicate: None, ..last.clone() };
+    let bound = init.iter().chain([&bare]);
+    if !bound.clone().all(Step::binds_element) {
+        return None;
+    }
+    let labels = Step::label_path(bound.chain(rel))?;
+    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let depth = handle.depth() + path.len();
+    let mut bindings: Vec<FlexKey> =
+        store.nodes_by_value(doc, &labels, value)?.iter().map(|k| k.prefix(depth)).collect();
+    // Document order puts the nodes below one binding side by side.
+    bindings.dedup();
+    if let Some(StepPredicate::Cmp { path, op, value }) = &last.predicate {
+        bindings.retain(|k| path_values(store, k, path).iter().any(|v| cmp_str(v, *op, value)));
+    }
+    Some(bindings)
+}
+
+/// An `$var/rel = "literal"` comparison among the conjuncts of `w`.
+fn eq_conjunct<'a>(w: &'a BoolExpr, var: &str) -> Option<(&'a [Step], &'a String)> {
+    match w {
+        BoolExpr::And(a, b) => eq_conjunct(a, var).or_else(|| eq_conjunct(b, var)),
+        BoolExpr::Cmp { lhs, op: CmpOp::Eq, rhs } => match (lhs, rhs) {
+            (Expr::Path(p), Expr::Literal(v) | Expr::Number(v))
+            | (Expr::Literal(v) | Expr::Number(v), Expr::Path(p))
+                if matches!(&p.source, PathSource::Var(name) if name == var) =>
+            {
+                Some((p.steps.as_slice(), v))
+            }
+            _ => None,
+        },
+        BoolExpr::Cmp { .. } => None,
+    }
+}
+
+/// The nodes one step reaches from `from`. Child steps hop from sibling to
+/// sibling ([`Store::child_iter`]), lazily: O(children) probes at most,
+/// never O(descendants), and a positional predicate stops at its child.
+fn step_hits<'a>(
+    store: &'a Store,
+    from: &'a FlexKey,
+    step: &'a Step,
+) -> Box<dyn Iterator<Item = FlexKey> + 'a> {
+    match (&step.test, step.axis) {
+        (NodeTest::Name(n), xquery_lang::Axis::Descendant) => {
+            Box::new(store.descendants_named(from, n).into_iter())
+        }
+        (NodeTest::Attr(_), _) => Box::new(std::iter::empty()),
+        (test, _) => Box::new(
+            store
+                .child_iter(from)
+                .filter(move |(_, node)| match test {
+                    NodeTest::Name(n) => node.data.name() == Some(n),
+                    NodeTest::Wildcard => node.data.name().is_some(),
+                    _ => node.data.name().is_none(),
+                })
+                .map(|(k, _)| k.clone()),
+        ),
+    }
+}
+
 /// Evaluate location steps (with positional / comparison predicates) from a
 /// node — the small navigator used for update-target binding only; view
 /// evaluation uses the full engine.
@@ -263,47 +353,26 @@ pub fn eval_steps(
 ) -> Result<Vec<FlexKey>, UpdateError> {
     let mut frontier = vec![from.clone()];
     for step in steps {
-        let mut next = Vec::new();
-        for k in &frontier {
-            match &step.test {
-                NodeTest::Name(n) => match step.axis {
-                    xquery_lang::Axis::Child => next.extend(store.children_named(k, n)),
-                    xquery_lang::Axis::Descendant => next.extend(store.descendants_named(k, n)),
-                },
-                NodeTest::Wildcard => {
-                    for (ck, node) in store.children(k) {
-                        if node.data.name().is_some() {
-                            next.push(ck);
-                        }
-                    }
-                }
-                NodeTest::Text => {
-                    for (ck, node) in store.children(k) {
-                        if matches!(node.data, xmlstore::NodeData::Text { .. }) {
-                            next.push(ck);
-                        }
-                    }
-                }
-                NodeTest::Attr(_) => {
-                    return Err(UpdateError("attribute steps not allowed in update targets".into()))
-                }
-            }
+        if matches!(step.test, NodeTest::Attr(_)) {
+            return Err(UpdateError("attribute steps not allowed in update targets".into()));
         }
-        if let Some(pred) = &step.predicate {
-            match pred {
-                StepPredicate::Position(n) => {
-                    // XPath positions are per parent context; with a single
-                    // entry point this is the n-th match overall.
-                    next = next.into_iter().skip(n - 1).take(1).collect();
+        let next: Vec<FlexKey> = {
+            let mut hits = frontier.iter().flat_map(|k| step_hits(store, k, step));
+            match &step.predicate {
+                None => hits.collect(),
+                // XPath positions are per parent context; with a single
+                // entry point this is the n-th match overall.
+                Some(StepPredicate::Position(n)) => {
+                    let before = n.checked_sub(1).ok_or_else(|| {
+                        UpdateError("step position 0: positions are 1-based".into())
+                    })?;
+                    hits.nth(before).into_iter().collect()
                 }
-                StepPredicate::Cmp { path, op, value } => {
-                    next.retain(|k| {
-                        let vals = path_values(store, k, path);
-                        vals.iter().any(|v| cmp_str(v, *op, value))
-                    });
-                }
+                Some(StepPredicate::Cmp { path, op, value }) => hits
+                    .filter(|k| path_values(store, k, path).iter().any(|v| cmp_str(v, *op, value)))
+                    .collect(),
             }
-        }
+        };
         frontier = next;
     }
     Ok(frontier)
@@ -348,26 +417,12 @@ fn path_values(store: &Store, from: &FlexKey, steps: &[Step]) -> Vec<String> {
                     }
                 }
                 NodeTest::Text => values.push(store.string_value(k)),
-                NodeTest::Name(n) => {
-                    let hits = match step.axis {
-                        xquery_lang::Axis::Child => store.children_named(k, n),
-                        xquery_lang::Axis::Descendant => store.descendants_named(k, n),
-                    };
+                NodeTest::Name(_) | NodeTest::Wildcard => {
+                    let hits = step_hits(store, k, step);
                     if last {
-                        values.extend(hits.iter().map(|h| store.string_value(h)));
+                        values.extend(hits.map(|h| store.string_value(&h)));
                     } else {
                         next.extend(hits);
-                    }
-                }
-                NodeTest::Wildcard => {
-                    for (ck, node) in store.children(k) {
-                        if node.data.name().is_some() {
-                            if last {
-                                values.push(store.string_value(&ck));
-                            } else {
-                                next.push(ck);
-                            }
-                        }
                     }
                 }
             }
@@ -535,6 +590,117 @@ mod tests {
         assert_eq!(ups.len(), 1);
         let ResolvedUpdate::Delete { frag, .. } = &ups[0] else { panic!() };
         assert_eq!(frag.data.attr("year"), Some("2000"));
+    }
+
+    /// Target binding by navigation alone — what resolution did before the
+    /// index, and the oracle for it now.
+    fn scan_bindings(s: &Store, op: &UpdateOp) -> Vec<FlexKey> {
+        let mut bound = eval_steps(s, &s.doc_handle(op.doc()).unwrap(), op.path()).unwrap();
+        if let Some(w) = op.filter_expr() {
+            bound.retain(|k| eval_where(s, k, op.var(), w));
+        }
+        bound
+    }
+
+    /// `op` binds the same targets through the index as by navigation;
+    /// `indexed` says which of the two must have answered. Returns them.
+    fn assert_binds_alike(s: &Store, op: &UpdateOp, indexed: bool) -> Vec<FlexKey> {
+        let scan = scan_bindings(s, op);
+        let handle = s.doc_handle(op.doc()).unwrap();
+        let looked_up =
+            indexed_bindings(s, op.doc(), &handle, op.var(), op.path(), op.filter_expr());
+        assert_eq!(looked_up.is_some(), indexed, "who answers {op:?}");
+        if let Some(mut bound) = looked_up {
+            if let Some(w) = op.filter_expr() {
+                bound.retain(|k| eval_where(s, k, op.var(), w));
+            }
+            assert_eq!(bound, scan, "{op:?}");
+        }
+        assert_eq!(resolve_op(s, op).unwrap().len(), scan.len(), "{op:?}");
+        scan
+    }
+
+    #[test]
+    fn indexed_and_scan_resolution_agree() {
+        let mut s = store();
+        s.load_doc(
+            "prices.xml",
+            r#"<prices>
+                <entry><price>70</price><b-title>Data on the Web</b-title></entry>
+                <entry><price>70.0</price><b-title>TCP/IP Illustrated</b-title></entry>
+                <entry><price> 70.00 </price><b-title>Unlisted</b-title></entry>
+                <entry><price>7e1x</price><b-title>Unlisted</b-title></entry>
+            </prices>"#,
+        )
+        .unwrap();
+        s.load_doc(
+            "lib.xml",
+            r#"<lib><item><name>plain</name></item>
+                    <item><name>pla<b>in</b></name></item></lib>"#,
+        )
+        .unwrap();
+        let books = s.children_named(&s.doc_root("bib.xml").unwrap(), "book");
+        let entries = s.children_named(&s.doc_root("prices.xml").unwrap(), "entry");
+
+        // The benchmark's three shapes: positional insert (navigated, one
+        // hop per sibling), delete and modify filtered on a title.
+        let frag = "<book year=\"1999\"><title>New</title></book>";
+        let insert = UpdateOp::insert("bib.xml", "/bib/book[2]", InsertPosition::After, frag);
+        assert_eq!(assert_binds_alike(&s, &insert.unwrap(), false), books[1..]);
+        let delete = UpdateOp::delete("bib.xml", "/bib/book")
+            .and_then(|op| op.filter("title", CmpOp::Eq, "Data on the Web"));
+        assert_eq!(assert_binds_alike(&s, &delete.unwrap(), true), books[1..]);
+        let modify = UpdateOp::replace_text("prices.xml", "/prices/entry", "price", "9.99")
+            .and_then(|op| op.filter("b-title", CmpOp::Eq, "Unlisted"));
+        assert_eq!(assert_binds_alike(&s, &modify.unwrap(), true), entries[2..]);
+
+        // Values are equal as numbers when both sides are numbers.
+        let by_price = |v: &str| {
+            UpdateOp::delete("prices.xml", "/prices/entry")?.filter("price", CmpOp::Eq, v)
+        };
+        assert_eq!(assert_binds_alike(&s, &by_price("70.0").unwrap(), true), entries[..3]);
+        assert_eq!(assert_binds_alike(&s, &by_price("7e1x").unwrap(), true), entries[3..]);
+
+        // Attributes, step predicates, conjunctions: one equality is looked
+        // up, the whole condition still decides.
+        let by_year = UpdateOp::delete("bib.xml", "/bib/book")
+            .and_then(|op| op.filter("@year", CmpOp::Eq, "1994.0"))
+            .and_then(|op| op.filter("title", CmpOp::Ne, "Data on the Web"));
+        assert_eq!(assert_binds_alike(&s, &by_year.unwrap(), true), books[..1]);
+        let in_step = UpdateOp::delete("bib.xml", r#"/bib/book[title = "Data on the Web"]"#);
+        assert_eq!(assert_binds_alike(&s, &in_step.unwrap(), true), books[1..]);
+
+        // Exact empty answers: a value nobody has, a path nobody has.
+        let nobody = UpdateOp::delete("bib.xml", "/bib/book")
+            .and_then(|op| op.filter("title", CmpOp::Eq, "No Such Book"));
+        assert!(assert_binds_alike(&s, &nobody.unwrap(), true).is_empty());
+        let nowhere = UpdateOp::delete("bib.xml", "/bib/magazine")
+            .and_then(|op| op.filter("title", CmpOp::Eq, "Data on the Web"));
+        assert!(assert_binds_alike(&s, &nowhere.unwrap(), true).is_empty());
+
+        // What the index declines, navigation answers: mixed content at the
+        // path (both names read "plain"), orderings, NaN, the descendant axis.
+        let mixed = UpdateOp::delete("lib.xml", "/lib/item")
+            .and_then(|op| op.filter("name", CmpOp::Eq, "plain"));
+        assert_eq!(assert_binds_alike(&s, &mixed.unwrap(), false).len(), 2);
+        let newer = UpdateOp::delete("bib.xml", "/bib/book")
+            .and_then(|op| op.filter("@year", CmpOp::Gt, "1995"));
+        assert_eq!(assert_binds_alike(&s, &newer.unwrap(), false), books[1..]);
+        assert_eq!(assert_binds_alike(&s, &by_price("NaN").unwrap(), false), entries[..3]);
+        let anywhere = UpdateOp::delete("bib.xml", "//book")
+            .and_then(|op| op.filter("title", CmpOp::Eq, "Data on the Web"));
+        assert_eq!(assert_binds_alike(&s, &anywhere.unwrap(), false), books[1..]);
+    }
+
+    /// `[0]` cannot be parsed or decoded; a hand-built statement carrying
+    /// it gets an error, not a `skip(n - 1)` underflow.
+    #[test]
+    fn position_zero_is_an_error() {
+        let mut path = xquery_lang::parse_path("/bib/book[1]").unwrap();
+        path[1].predicate = Some(StepPredicate::Position(0));
+        let s = store();
+        let err = eval_steps(&s, &s.doc_handle("bib.xml").unwrap(), &path).unwrap_err();
+        assert!(err.0.contains("1-based"), "{err}");
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl FlexKey {
         }
     }
 
+    /// The ancestor-or-self of this key at `depth` segments (the whole key
+    /// when it is no deeper).
+    pub fn prefix(&self, depth: usize) -> FlexKey {
+        FlexKey { segs: self.segs[..depth.min(self.segs.len())].to_vec() }
+    }
+
     /// Child key obtained by appending one segment.
     pub fn child(&self, seg: Seg) -> FlexKey {
         let mut segs = self.segs.clone();

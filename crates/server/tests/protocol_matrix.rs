@@ -249,6 +249,30 @@ fn malformed_input_matrix() {
     round += 1;
     assert_healthy(&mut good, round);
 
+    // 11. A handshaken peer submits `/bib/book[0]`. No parser or builder
+    // produces position 0 (positions are 1-based), so only hand-made
+    // bytes carry it; it is refused at decode, before it can reach the
+    // resolver's position arithmetic on the drain thread.
+    {
+        let mut s = raw(&srv);
+        s.write_all(&hello_bytes("zeroth")).unwrap();
+        match proto::recv::<Response>(&mut s, proto::DEFAULT_MAX_FRAME) {
+            Ok(Response::Error(e)) => panic!("hello refused: {e:?}"),
+            Ok(_) => {}
+            Err(e) => panic!("hello: {e}"),
+        }
+        let mut stmt = xquery_lang::UpdateOp::delete("bib.xml", "/bib/book[1]").unwrap().to_stmt();
+        stmt.path[1].predicate = Some(xquery_lang::StepPredicate::Position(0));
+        let batch = xquery_lang::UpdateBatch::new().with(xquery_lang::UpdateOp::from_stmt(stmt));
+        proto::send(&mut s, &Request::Submit(batch)).unwrap();
+        match reaction(&mut s, "position zero") {
+            Outcome::TypedError(ErrorKind::Protocol) => {}
+            other => panic!("position zero: {other:?}"),
+        }
+    }
+    round += 1;
+    assert_healthy(&mut good, round);
+
     // The abuse was all counted, and only the abuse.
     let stats = good.stats().unwrap();
     assert!(

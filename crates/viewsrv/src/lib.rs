@@ -24,6 +24,11 @@
 //!    store **once**; each view's delta then merges into its own extent
 //!    (count-aware deep union), again pooled.
 //!
+//! A round fans out only when it carries more than one update root for
+//! some view; a single-update round runs all three levels inline on the
+//! calling thread, so its latency does not hinge on a second core
+//! (see `ViewCatalog::fans_out`).
+//!
 //! Modifies keep the paper's classification (§6.5): if *every* relevant
 //! view sees a content-only change, the text is patched in place
 //! store-side and extent-side; otherwise the modify widens to
@@ -224,6 +229,7 @@ struct CatalogMetrics {
     fast_modifies: Arc<obs::Counter>,
     widened_modifies: Arc<obs::Counter>,
     recomputes: Arc<obs::Counter>,
+    resolve: Arc<obs::Histogram>,
     validate: Arc<obs::Histogram>,
     propagate: Arc<obs::Histogram>,
     apply: Arc<obs::Histogram>,
@@ -239,6 +245,7 @@ impl CatalogMetrics {
             fast_modifies: reg.counter("svc/fast_modifies"),
             widened_modifies: reg.counter("svc/widened_modifies"),
             recomputes: reg.counter("svc/recomputes"),
+            resolve: reg.histogram("svc/resolve"),
             validate: reg.histogram("svc/validate"),
             propagate: reg.histogram("svc/propagate"),
             apply: reg.histogram("svc/apply"),
@@ -516,6 +523,9 @@ impl ViewCatalog {
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<BatchReceipt, CatalogError> {
         let t0 = Instant::now();
         let resolved = update::resolve_batch(&self.store, batch)?;
+        // Resolution has a histogram of its own (`svc/validate` times the
+        // routing only), so the `svc/*` phases of a round sum to the round.
+        self.m.resolve.record_duration(t0.elapsed());
         let n_resolved = resolved.len();
         let (mut stats, touched) = self.apply_traced(resolved)?;
         // Op resolution is part of the shared Validate phase. Saturating:
@@ -628,14 +638,15 @@ impl ViewCatalog {
                 roots_per_view.entry(i).or_default().push(target.clone());
             }
         }
+        let fan_out = self.fans_out(&roots_per_view);
         let tp = Instant::now();
-        let deltas = self.par_propagate(doc, &roots_per_view, -1)?;
+        let deltas = self.par_propagate(doc, &roots_per_view, -1, fan_out)?;
         batch.propagate += tp.elapsed();
         let ta = Instant::now();
         for (target, _) in &deletes {
             self.store.delete_subtree(target);
         }
-        self.par_apply(deltas);
+        self.par_apply(deltas, fan_out);
         batch.apply += ta.elapsed();
         Ok(())
     }
@@ -660,11 +671,12 @@ impl ViewCatalog {
             }
         }
         batch.apply += ta0.elapsed();
+        let fan_out = self.fans_out(&roots_per_view);
         let tp = Instant::now();
-        let deltas = self.par_propagate(doc, &roots_per_view, 1)?;
+        let deltas = self.par_propagate(doc, &roots_per_view, 1, fan_out)?;
         batch.propagate += tp.elapsed();
         let ta = Instant::now();
-        self.par_apply(deltas);
+        self.par_apply(deltas, fan_out);
         batch.apply += ta.elapsed();
         Ok(())
     }
@@ -780,12 +792,13 @@ impl ViewCatalog {
             let roots: BTreeMap<usize, Vec<FlexKey>> =
                 affected.iter().map(|&i| (i, vec![widened.anchor.clone()])).collect();
             // Delete round at the anchor (pre-state)…
+            let fan_out = self.fans_out(&roots);
             let tp = Instant::now();
-            let deltas = self.par_propagate(doc, &roots, -1)?;
+            let deltas = self.par_propagate(doc, &roots, -1, fan_out)?;
             batch.propagate += tp.elapsed();
             let ta = Instant::now();
             self.store.delete_subtree(&widened.anchor);
-            self.par_apply(deltas);
+            self.par_apply(deltas, fan_out);
             batch.apply += ta.elapsed();
             // …then the insert round with the patched fragment (post-state).
             let ta = Instant::now();
@@ -799,25 +812,44 @@ impl ViewCatalog {
             let roots: BTreeMap<usize, Vec<FlexKey>> =
                 affected.iter().map(|&i| (i, vec![new_root.clone()])).collect();
             let tp = Instant::now();
-            let deltas = self.par_propagate(doc, &roots, 1)?;
+            let deltas = self.par_propagate(doc, &roots, 1, fan_out)?;
             batch.propagate += tp.elapsed();
             let ta = Instant::now();
-            self.par_apply(deltas);
+            self.par_apply(deltas, fan_out);
             batch.apply += ta.elapsed();
         }
         Ok(())
     }
 
+    /// Whether a propagate/apply round over these roots runs on the pool.
+    /// A round that carries one update root per view stays on the calling
+    /// thread (and [`vpa_core::propagate::propagate_batch`] keeps such a
+    /// view's IMP terms there too): with the path-value index a view's
+    /// share of a single update is 0.1–10 ms, fanning that out bought
+    /// 28 → 17 ms on two cores but tied every commit's latency to how fast
+    /// a second core happened to be (run-to-run spread of the median 10 %
+    /// pooled, 3 % inline). Multi-update rounds fan out as before. Decided
+    /// by the batch alone, never by timing, so a round runs the same way
+    /// every time.
+    fn fans_out(&self, roots_per_view: &BTreeMap<usize, Vec<FlexKey>>) -> bool {
+        self.parallel
+            && self.pool.threads() > 1
+            && roots_per_view.len() > 1
+            && roots_per_view.values().any(|roots| roots.len() > 1)
+    }
+
     /// Run each view's IMP propagation for its batch of update roots —
-    /// read-only on the shared store, one pool job per view (each view's
-    /// telescoped IMP terms fan out further on the same pool). Results
-    /// come back in view order, so per-slot statistics merge
-    /// deterministically regardless of completion order.
+    /// read-only on the shared store, one pool job per view when the round
+    /// [fans out](Self::fans_out) (each view's telescoped IMP terms fan
+    /// out further on the same pool). Results come back in view order, so
+    /// per-slot statistics merge deterministically regardless of
+    /// completion order.
     fn par_propagate(
         &mut self,
         doc: &str,
         roots_per_view: &BTreeMap<usize, Vec<FlexKey>>,
         sign: i64,
+        fan_out: bool,
     ) -> Result<Vec<(usize, Vec<VNode>)>, CatalogError> {
         let store = &self.store;
         let slots = &self.slots;
@@ -829,12 +861,11 @@ impl ViewCatalog {
             let r = slots[i].view.propagate(store, doc, roots, sign);
             (i, r, t0.elapsed())
         };
-        let results: Vec<(usize, PropResult, Duration)> =
-            if self.parallel && jobs.len() > 1 && self.pool.threads() > 1 {
-                self.pool.map(jobs, timed)
-            } else {
-                jobs.into_iter().map(timed).collect()
-            };
+        let results: Vec<(usize, PropResult, Duration)> = if fan_out {
+            self.pool.map(jobs, timed)
+        } else {
+            jobs.into_iter().map(timed).collect()
+        };
         let mut out = Vec::with_capacity(results.len());
         for (i, r, dur) in results {
             let (delta, exec) = r?;
@@ -848,8 +879,8 @@ impl ViewCatalog {
     }
 
     /// Merge each view's delta into its extent — independent extents, one
-    /// pool job per view.
-    fn par_apply(&mut self, deltas: Vec<(usize, Vec<VNode>)>) {
+    /// pool job per view when the round fans out.
+    fn par_apply(&mut self, deltas: Vec<(usize, Vec<VNode>)>, fan_out: bool) {
         let mut by_idx: BTreeMap<usize, Vec<VNode>> = deltas.into_iter().collect();
         let work: Vec<(&mut Slot, Vec<VNode>)> = self
             .slots
@@ -864,7 +895,7 @@ impl ViewCatalog {
             slot.stats.apply += dur;
             slot.phase.apply.record_duration(dur);
         };
-        if self.parallel && work.len() > 1 && self.pool.threads() > 1 {
+        if fan_out {
             self.pool.map(work, apply_one);
         } else {
             work.into_iter().for_each(apply_one);
@@ -1081,6 +1112,31 @@ mod tests {
         }
         a.verify_all().unwrap();
         b.verify_all().unwrap();
+    }
+
+    /// The fan-out rule reads the round's roots and nothing else: one
+    /// root per view stays inline on any pool, a second root for some
+    /// view fans out, and a one-lane pool or `set_parallel(false)` never does.
+    #[test]
+    fn single_update_rounds_stay_inline() {
+        let key = |cat: &ViewCatalog| cat.store().doc_root("bib.xml").unwrap();
+        let mut cat = catalog();
+        cat.set_pool(exec::Executor::new(4));
+        let k = key(&cat);
+        let one: BTreeMap<usize, Vec<FlexKey>> =
+            [(0, vec![k.clone()]), (1, vec![k.clone()])].into_iter().collect();
+        let two: BTreeMap<usize, Vec<FlexKey>> =
+            [(0, vec![k.clone()]), (1, vec![k.clone(), k.clone()])].into_iter().collect();
+        let lone_view: BTreeMap<usize, Vec<FlexKey>> =
+            [(1, vec![k.clone(), k.clone()])].into_iter().collect();
+        assert!(!cat.fans_out(&one));
+        assert!(cat.fans_out(&two));
+        assert!(!cat.fans_out(&lone_view), "one job has nothing to fan out");
+        cat.set_parallel(false);
+        assert!(!cat.fans_out(&two));
+        cat.set_parallel(true);
+        cat.set_pool(exec::Executor::new(1));
+        assert!(!cat.fans_out(&two));
     }
 
     #[test]

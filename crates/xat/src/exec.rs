@@ -70,6 +70,13 @@ pub struct ExecStats {
     pub semid: Duration,
     /// Final (partial) sorting when materializing the result.
     pub final_sort: Duration,
+    /// Tuples bound out of *stored* document state: every row a φ emits
+    /// from a non-delta item, and every row rebuilt from an index answer.
+    /// For an IMP term this is the work that should track the update's
+    /// join neighbourhood, not the document.
+    pub source_rows: u64,
+    /// Path-value index lookups issued (`Store::nodes_by_value` calls).
+    pub index_probes: u64,
 }
 
 impl ExecStats {
@@ -84,6 +91,8 @@ impl ExecStats {
         self.overriding += o.overriding;
         self.semid += o.semid;
         self.final_sort += o.final_sort;
+        self.source_rows += o.source_rows;
+        self.index_probes += o.index_probes;
     }
 }
 
@@ -180,6 +189,9 @@ impl<'s> Executor<'s> {
         if matches!(plan.op, OpKind::Join { .. } | OpKind::LeftOuterJoin { .. }) {
             return self.eval_join_like(plan);
         }
+        if let Some(out) = self.eval_indexed(plan)? {
+            return Ok(out);
+        }
         let mut inputs = Vec::with_capacity(plan.children.len());
         for c in &plan.children {
             inputs.push(self.eval_inner(c)?);
@@ -227,7 +239,11 @@ impl<'s> Executor<'s> {
                 let ci = t.col_idx(col).ok_or_else(|| ExecError(format!("no column ${col}")))?;
                 for row in &t.rows {
                     for entry in row.cells[ci].items() {
-                        for hit in self.eval_path(entry, steps) {
+                        let hits = self.eval_path(entry, steps);
+                        if entry.delta != NavMode::DeltaOnly {
+                            self.stats.source_rows += hits.len() as u64;
+                        }
+                        for hit in hits {
                             // §6.5-style classification of bound delta rows:
                             // a binding *inside* an update fragment exists on
                             // one side of the update only and keeps the batch
@@ -480,6 +496,116 @@ impl<'s> Executor<'s> {
             }
         }
         Ok(out)
+    }
+
+    // ---- index access path ---------------------------------------------
+
+    /// Answer a semi-join filter or an equality selection that sits on a
+    /// [`SourceChain`] from the store's path-value index instead of
+    /// navigating the whole document and filtering: probe the index once
+    /// per wanted value, rebuild the chain's tuple for each node found,
+    /// and keep those the operator's own predicate accepts. The rows are
+    /// exactly the rows, in the same (document) order, that evaluating the
+    /// chain and filtering would give; `None` whenever that cannot be
+    /// promised — the plan has another shape, or the index declines — and
+    /// the caller evaluates the plan the ordinary way.
+    fn eval_indexed(&mut self, plan: &Plan) -> EResult<Option<XatTable>> {
+        let (operand, wanted): (&Operand, Vec<&Atomic>) = match &plan.op {
+            OpKind::InSet { operand, values } => (operand, values.iter().collect()),
+            OpKind::Select { pred } => {
+                let by_const = pred.conjuncts.iter().find_map(|c| match c {
+                    (o, CmpOp::Eq, Operand::Const(v)) | (Operand::Const(v), CmpOp::Eq, o) => {
+                        o.col().map(|_| (o, vec![v]))
+                    }
+                    _ => None,
+                });
+                match by_const {
+                    Some(found) => found,
+                    None => return Ok(None),
+                }
+            }
+            _ => return Ok(None),
+        };
+        let input = &plan.children[0];
+        let Some(chain) = SourceChain::of(input) else { return Ok(None) };
+        // The operand must read the chain's last column; the path from the
+        // document node to its value is the chain's steps, then its own.
+        let below: &[Step] = match operand {
+            Operand::Path { steps, .. } => steps,
+            _ => &[],
+        };
+        let bound = chain.navs.iter().copied().flatten();
+        let (Some(path), Some(handle)) =
+            (Step::label_path(bound.clone().chain(below)), self.store.doc_handle(chain.doc))
+        else {
+            return Ok(None);
+        };
+        if operand.col() != Some(chain.top_col) {
+            return Ok(None);
+        }
+        let path: Vec<&str> = path.iter().map(String::as_str).collect();
+
+        // The deepest element the chain binds determines the tuple.
+        let anchor_depth = handle.depth() + bound.filter(|s| s.binds_element()).count();
+        let mut anchors: Vec<FlexKey> = Vec::new();
+        for value in &wanted {
+            self.stats.index_probes += 1;
+            match self.store.nodes_by_value(chain.doc, &path, value.as_str()) {
+                Some(nodes) => anchors.extend(nodes.iter().map(|k| k.prefix(anchor_depth))),
+                None => return Ok(None),
+            }
+        }
+        anchors.sort();
+        anchors.dedup();
+        if chain.mode == NavMode::Exclude {
+            if let Some(frags) = self.delta.get(chain.doc) {
+                anchors.retain(|a| !frags.iter().any(|f| f.is_self_or_ancestor_of(a)));
+            }
+        }
+
+        let at = |key: FlexKey| Item { delta: chain.mode, ..Item::base(key) };
+        let shape = XatTable::new(input.schema.cols.clone());
+        let wanted: std::collections::HashSet<String> =
+            wanted.iter().map(|v| atom_key(v)).collect();
+        let mut out = XatTable::new(plan.schema.cols.clone());
+        out.order_schema = plan.schema.order.clone();
+        for anchor in anchors {
+            let mut cells = vec![Cell::one(at(handle.clone()))];
+            let mut depth = handle.depth();
+            // A value column (the chain ends in an attribute step) is read
+            // from the stored element, once per tuple.
+            let mut values: Option<Vec<Item>> = None;
+            for steps in &chain.navs {
+                depth += steps.iter().filter(|s| s.binds_element()).count();
+                let bound = at(anchor.prefix(depth));
+                match steps.last().filter(|s| !s.binds_element()) {
+                    Some(attr) => values = Some(self.eval_path(&bound, std::slice::from_ref(attr))),
+                    None => cells.push(Cell::one(bound)),
+                }
+            }
+            let tuples: Vec<Vec<Cell>> = match values {
+                None => vec![cells],
+                Some(values) => values
+                    .into_iter()
+                    .map(|v| cells.iter().cloned().chain([Cell::one(v)]).collect())
+                    .collect(),
+            };
+            for cells in tuples {
+                self.stats.source_rows += 1;
+                let row = Row::new(cells);
+                let keep = match &plan.op {
+                    OpKind::Select { pred } => self.eval_pred(&shape, &row, pred)?,
+                    _ => self
+                        .operand_values(&shape, &row, operand)?
+                        .iter()
+                        .any(|v| wanted.contains(&atom_key(v))),
+                };
+                if keep {
+                    out.rows.push(row);
+                }
+            }
+        }
+        Ok(Some(out))
     }
 
     // ---- navigation ---------------------------------------------------
@@ -843,8 +969,24 @@ impl<'s> Executor<'s> {
         let rdelta = plan.children[1].has_delta_source();
         match (ldelta, rdelta) {
             (false, false) => {
-                let l = self.eval_inner(&plan.children[0])?;
-                let r = self.eval_inner(&plan.children[1])?;
+                // Inside an IMP term a side may already be restricted to
+                // the delta's join partners by a pushed-down semi-join
+                // filter. Evaluate that side first and restrict the other
+                // with *its* keys, so the term touches the delta's join
+                // neighbourhood only. (A left outer join keeps every left
+                // row, so only its right side may be restricted this way.)
+                let (lplan, rplan) = (&plan.children[0], &plan.children[1]);
+                let (l, r) = if lplan.has_semifilter() {
+                    let l = self.eval_inner(lplan)?;
+                    let r = self.eval_inner(&self.semifiltered(rplan, &l, pred)?)?;
+                    (l, r)
+                } else if rplan.has_semifilter() && !outer {
+                    let r = self.eval_inner(rplan)?;
+                    let l = self.eval_inner(&self.semifiltered(lplan, &r, pred)?)?;
+                    (l, r)
+                } else {
+                    (self.eval_inner(lplan)?, self.eval_inner(rplan)?)
+                };
                 self.join(&l, &r, pred, outer, &mut out)?;
             }
             (true, false) => {
@@ -1296,6 +1438,41 @@ impl<'s> Executor<'s> {
     }
 }
 
+/// A plan subtree the path-value index can stand in for: a stored source
+/// (`Source` or `ExcludeSource`) under a linear chain of φ operators, each
+/// navigating plain child-axis name steps (a final attribute step allowed)
+/// from the column the one below it bound. Every tuple of such a chain is
+/// determined by the deepest element it binds.
+struct SourceChain<'p> {
+    doc: &'p str,
+    /// How items of this occurrence navigate: `Free` or `Exclude`.
+    mode: NavMode,
+    /// The steps of the φ operators, from the source up.
+    navs: Vec<&'p [Step]>,
+    /// The column the chain binds last.
+    top_col: &'p str,
+}
+
+impl<'p> SourceChain<'p> {
+    fn of(top: &'p Plan) -> Option<SourceChain<'p>> {
+        let source = |doc, mode, out| SourceChain { doc, mode, navs: Vec::new(), top_col: out };
+        match &top.op {
+            OpKind::Source { doc, out } => Some(source(doc, NavMode::Free, out)),
+            OpKind::ExcludeSource { doc, out } => Some(source(doc, NavMode::Exclude, out)),
+            OpKind::NavUnnest { col, steps, out } => {
+                let mut chain = SourceChain::of(&top.children[0])?;
+                if chain.top_col != col {
+                    return None;
+                }
+                chain.navs.push(steps);
+                chain.top_col = out;
+                Some(chain)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Lineage atoms contributed by one cell: keys for base nodes, values for
 /// atomics, the constructed node's own id body for constructed nodes.
 fn lineage_atoms_of_cell(cell: &Cell, ex: &Executor<'_>, out: &mut Vec<LngAtom>) {
@@ -1464,5 +1641,175 @@ fn fmt_num(x: f64) -> String {
         format!("{}", x as i64)
     } else {
         format!("{x}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::annotate;
+
+    const BIB: &str = r#"<bib>
+        <book year="1994"><title>TCP/IP Illustrated</title></book>
+        <book year="2000"><title>Data on the Web</title></book>
+        <book year="1994.0"><title>Advanced Unix</title></book>
+        <book><title>Undated</title></book>
+    </bib>"#;
+
+    const PRICES: &str = r#"<prices>
+        <entry><price>65.95</price><b-title>TCP/IP Illustrated</b-title></entry>
+        <entry><price>39.95</price><b-title>Data on the Web</b-title></entry>
+        <entry><price>12.00</price><b-title>Data on the Web</b-title><b-title>Both</b-title></entry>
+        <entry><price>55.48</price><b-title>Unlisted</b-title></entry>
+    </prices>"#;
+
+    const MIXED: &str = r#"<lib><item><name>plain</name></item>
+                                <item><name>pla<b>in</b></name></item></lib>"#;
+
+    fn store() -> Store {
+        let mut s = Store::new();
+        s.load_doc("bib.xml", BIB).unwrap();
+        s.load_doc("prices.xml", PRICES).unwrap();
+        s.load_doc("lib.xml", MIXED).unwrap();
+        s
+    }
+
+    fn name(n: &str) -> Step {
+        Step::child(NodeTest::Name(n.into()))
+    }
+
+    fn attr(n: &str) -> Step {
+        Step::child(NodeTest::Attr(n.into()))
+    }
+
+    /// `source → φ steps → …`, one φ per entry of `navs`, binding `c1`, `c2`, ….
+    fn chain(source: OpKind, navs: &[&[Step]]) -> Plan {
+        let mut plan = Plan::leaf(source);
+        for (i, steps) in navs.iter().enumerate() {
+            let col = if i == 0 { "S".to_string() } else { format!("c{i}") };
+            let op = OpKind::NavUnnest { col, steps: steps.to_vec(), out: format!("c{}", i + 1) };
+            plan = Plan::unary(op, plan);
+        }
+        plan
+    }
+
+    fn source(doc: &str) -> OpKind {
+        OpKind::Source { doc: doc.into(), out: "S".into() }
+    }
+
+    fn in_set(operand: Operand, values: &[&str], input: Plan) -> Plan {
+        let values = values.iter().map(|v| Atomic::new(*v)).collect();
+        let mut plan = Plan::unary(OpKind::InSet { operand, values }, input);
+        annotate(&mut plan).unwrap();
+        plan
+    }
+
+    /// The filter evaluated the ordinary way: the whole chain, then the
+    /// operator's predicate row by row.
+    fn scanned(ex: &mut Executor<'_>, plan: &Plan) -> Vec<Row> {
+        let input = ex.eval_inner(&plan.children[0]).unwrap();
+        let keep = |row: &Row| match &plan.op {
+            OpKind::Select { pred } => ex.eval_pred(&input, row, pred).unwrap(),
+            OpKind::InSet { operand, values } => {
+                let got = ex.operand_values(&input, row, operand).unwrap();
+                got.iter().any(|v| values.iter().any(|w| atom_key(v) == atom_key(w)))
+            }
+            _ => unreachable!(),
+        };
+        input.rows.iter().filter(|row| keep(row)).cloned().collect()
+    }
+
+    /// The index answers `plan` with exactly the scan's rows, in its order.
+    fn assert_indexed(ex: &mut Executor<'_>, plan: &Plan, rows: usize) {
+        let probes = ex.stats.index_probes;
+        let indexed = ex.eval_indexed(plan).unwrap().expect("an index answer");
+        let wanted = match &plan.op {
+            OpKind::InSet { values, .. } => values.len() as u64,
+            _ => 1,
+        };
+        assert_eq!(ex.stats.index_probes - probes, wanted, "one probe per wanted value");
+        assert_eq!(indexed.rows, scanned(ex, plan));
+        assert_eq!(indexed.rows.len(), rows);
+        let whole = ex.eval_inner(plan).unwrap();
+        assert_eq!((whole.rows, whole.order_schema), (indexed.rows, indexed.order_schema));
+    }
+
+    #[test]
+    fn indexed_filters_return_the_scan_rows_in_scan_order() {
+        let s = store();
+        let mut ex = Executor::new(&s);
+        let entries = [name("prices"), name("entry")];
+        let b_title = Operand::Path { col: "c1".into(), steps: vec![name("b-title")] };
+
+        // The semi-join filter of an IMP term: wanted values in any order,
+        // present or not; an entry with two matching titles is one row.
+        let wanted = ["Both", "Nobody's", "Data on the Web"];
+        let plan = in_set(b_title.clone(), &wanted, chain(source("prices.xml"), &[&entries]));
+        assert_indexed(&mut ex, &plan, 2);
+        assert_indexed(&mut ex, &in_set(b_title.clone(), &[], plan.children[0].clone()), 0);
+
+        // A value column bound by a second φ; years equal as numbers.
+        let books = [name("bib"), name("book")];
+        let years = chain(source("bib.xml"), &[&books, &[attr("year")]]);
+        assert_indexed(&mut ex, &in_set(Operand::Col("c2".into()), &["1994"], years), 2);
+        let years = chain(source("bib.xml"), &[&[name("bib"), name("book"), attr("year")]]);
+        assert_indexed(&mut ex, &in_set(Operand::Col("c1".into()), &["1994", "2000"], years), 3);
+
+        // An equality selection against a constant.
+        let year = Operand::Path { col: "c1".into(), steps: vec![attr("year")] };
+        let pred = Pred::eq(year, Operand::Const(Atomic::new("1994.00")));
+        let mut select = Plan::unary(OpKind::Select { pred }, chain(source("bib.xml"), &[&books]));
+        annotate(&mut select).unwrap();
+        assert_indexed(&mut ex, &select, 2);
+    }
+
+    #[test]
+    fn indexed_filter_skips_the_update_fragments_of_an_excluded_source() {
+        let s = store();
+        let entries = s.children_named(&s.doc_root("prices.xml").unwrap(), "entry");
+        let mut ex = Executor::new(&s);
+        ex.set_delta("prices.xml", vec![entries[1].clone()], 1);
+        let b_title = Operand::Path { col: "c1".into(), steps: vec![name("b-title")] };
+        let excluded = OpKind::ExcludeSource { doc: "prices.xml".into(), out: "S".into() };
+        let input = chain(excluded, &[&[name("prices"), name("entry")]]);
+        assert_indexed(&mut ex, &in_set(b_title, &["Data on the Web"], input), 1);
+    }
+
+    #[test]
+    fn what_the_index_cannot_answer_is_scanned() {
+        let s = store();
+        let mut ex = Executor::new(&s);
+        let item_name = Operand::Path { col: "c1".into(), steps: vec![name("name")] };
+        let cases = [
+            // Mixed content at the path: both names read "plain".
+            (item_name, "plain", chain(source("lib.xml"), &[&[name("lib"), name("item")]]), 2),
+            // The descendant axis.
+            (
+                Operand::Path { col: "c1".into(), steps: vec![name("title")] },
+                "Undated",
+                chain(source("bib.xml"), &[&[Step::descendant(NodeTest::Name("book".into()))]]),
+                1,
+            ),
+            // An operand that is not the chain's last column.
+            (
+                Operand::Path { col: "S".into(), steps: vec![name("bib"), name("book")] },
+                "Undated",
+                chain(source("bib.xml"), &[&[name("bib")]]),
+                1,
+            ),
+            // NaN equals nothing by key and every number by comparison.
+            (
+                Operand::Path { col: "c1".into(), steps: vec![attr("year")] },
+                "NaN",
+                chain(source("bib.xml"), &[&[name("bib"), name("book")]]),
+                0,
+            ),
+        ];
+        for (operand, value, input, rows) in cases {
+            let plan = in_set(operand, &[value], input);
+            assert!(ex.eval_indexed(&plan).unwrap().is_none(), "{plan}");
+            assert_eq!(ex.eval_inner(&plan).unwrap().rows, scanned(&mut ex, &plan));
+            assert_eq!(scanned(&mut ex, &plan).len(), rows, "{plan}");
+        }
     }
 }

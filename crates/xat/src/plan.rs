@@ -288,6 +288,13 @@ impl Plan {
             || self.children.iter().any(Plan::has_delta_source)
     }
 
+    /// True if this subtree contains a pushed-down semi-join filter
+    /// ([`OpKind::InSet`]): it is already restricted to some delta's join
+    /// partners.
+    pub fn has_semifilter(&self) -> bool {
+        matches!(self.op, OpKind::InSet { .. }) || self.children.iter().any(Plan::has_semifilter)
+    }
+
     /// Replace every `DeltaSource` leaf by a plain `Source` (`false`) or an
     /// `ExcludeSource` (`true`) — used by the Left Outer Join delta rule
     /// (§7.4) to evaluate the right input's pre-/post-state.

@@ -25,6 +25,7 @@
 pub mod frag;
 mod pagemap;
 pub mod parse;
+mod pathindex;
 pub mod store;
 pub mod wirecodec;
 

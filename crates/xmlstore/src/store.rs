@@ -8,6 +8,7 @@
 use crate::frag::{Frag, NodeData};
 use crate::pagemap::PageMap;
 use crate::parse::{parse_document, ParseError};
+use crate::pathindex::PathIndex;
 use flexkey::{FlexKey, Seg};
 use std::collections::BTreeMap;
 
@@ -19,20 +20,26 @@ pub struct Node {
     pub count: i64,
 }
 
-/// One stored document: a name, a root key, and the FlexKey-ordered node map.
+/// One stored document: a name, a root key, the FlexKey-ordered node map,
+/// and the path-value index derived from it.
 ///
-/// The node map is a sequence of `Arc`-shared pages under an `Arc`-shared
-/// fence index (the private `pagemap` module): cloning a `Doc` (and hence a whole
+/// Both are sequences of `Arc`-shared pages under an `Arc`-shared fence
+/// index (the private `pagemap` module): cloning a `Doc` (and hence a whole
 /// [`Store`]) shares all of it, so a frozen epoch ([`Store::frozen`]) costs
 /// O(documents), not O(nodes). A mutation of a shared document copies the
-/// fence index (one pointer per page) and the one or two pages it touches
+/// two fence indexes (one pointer per page) and the few pages it touches
 /// — O(page), not O(document) — and every untouched page stays shared;
 /// value semantics are unchanged.
+///
+/// The index answers [`Store::nodes_by_value`]. It is derived state: the
+/// wire format carries the nodes only and loading or decoding a document
+/// rebuilds it.
 #[derive(Clone, Debug, Default)]
 pub struct Doc {
     pub name: String,
     pub root: FlexKey,
-    nodes: PageMap,
+    nodes: PageMap<FlexKey, Node>,
+    index: PathIndex,
 }
 
 /// Where to place an inserted fragment among its new siblings.
@@ -130,6 +137,24 @@ impl Store {
         self.docs.values_mut().find(|d| d.root.is_self_or_ancestor_of(key))
     }
 
+    /// The path-value index lookup: the nodes of document `doc` reached
+    /// from its document node by the child-axis label path `path` whose
+    /// value equals `value`, in document order. Labels are element names; a
+    /// final `@name` addresses an attribute, and the answer is then the
+    /// attribute's owner elements. An element's value is its string value;
+    /// values are equal numerically when both parse as numbers (`"70"` =
+    /// `"70.0"`) and textually otherwise.
+    ///
+    /// `Some` is exact — precisely the nodes that navigating `path` step by
+    /// step and comparing each value would find. `None` means the index
+    /// cannot say and the caller must navigate: the document is unknown,
+    /// `path` is empty, `value` parses as NaN, or some node at `path` has
+    /// element children (mixed or complex content) or a NaN value. A path
+    /// no stored node has is an exact empty answer.
+    pub fn nodes_by_value(&self, doc: &str, path: &[&str], value: &str) -> Option<Vec<FlexKey>> {
+        self.docs.get(doc)?.index.lookup(path, value)
+    }
+
     /// Look up a node by key.
     pub fn node(&self, key: &FlexKey) -> Option<&Node> {
         self.doc_of(key)?.nodes.get(key)
@@ -147,6 +172,28 @@ impl Store {
                 .map(|(k, n)| (k.clone(), n))
                 .collect(),
         }
+    }
+
+    /// Children of `key` in document order, found by hopping: one probe
+    /// past each child's subtree, so a walk costs O(children) probes
+    /// however large the subtrees are, and a caller that stops early (a
+    /// positional step) pays only for the children it saw. Yields what
+    /// [`Store::children`] collects.
+    pub fn child_iter<'a>(
+        &'a self,
+        key: &'a FlexKey,
+    ) -> impl Iterator<Item = (&'a FlexKey, &'a Node)> + 'a {
+        let nodes = self.doc_of(key).map(|doc| &doc.nodes);
+        let mut next = nodes.and_then(|n| n.range_after(key).next());
+        std::iter::from_fn(move || loop {
+            let (k, node) = next.filter(|(k, _)| key.is_ancestor_of(k))?;
+            if key.is_parent_of(k) {
+                next = nodes?.first_after_subtree(k);
+                return Some((k, node));
+            }
+            // Below a child that is not stored: skip that child's subtree.
+            next = nodes?.first_after_subtree(&k.prefix(key.depth() + 1));
+        })
     }
 
     /// All strict descendants of `key` in document order.
@@ -251,7 +298,12 @@ impl Store {
             }
         };
         let root = FlexKey::sibling_between(parent, lo.as_ref(), hi.as_ref());
+        let mark = doc.index.note_change(&doc.root, &doc.nodes, parent);
         key_frag(root.clone(), frag, &mut |k, n| doc.nodes.insert(k, n));
+        if let Some(mark) = mark {
+            doc.index.add_subtree(&mark, &doc.nodes, &root);
+            doc.index.settle(&doc.nodes, mark);
+        }
         Some(root)
     }
 
@@ -265,7 +317,25 @@ impl Store {
     /// Delete the subtree rooted at `key`. Returns the number of nodes
     /// removed (0 if the key does not exist).
     pub fn delete_subtree(&mut self, key: &FlexKey) -> usize {
-        self.doc_of_mut(key).map_or(0, |doc| doc.nodes.remove_subtree(key))
+        let Some(doc) = self.doc_of_mut(key) else { return 0 };
+        let mark = match key.parent() {
+            Some(parent) if doc.nodes.get(key).is_some() => {
+                doc.index.note_change(&doc.root, &doc.nodes, &parent)
+            }
+            _ => None,
+        };
+        if let Some(mark) = &mark {
+            doc.index.remove_subtree(mark, &doc.nodes, key);
+        }
+        let removed = doc.nodes.remove_subtree(key);
+        match mark {
+            Some(mark) => doc.index.settle(&doc.nodes, mark),
+            // Not below a stored element (the document node itself went):
+            // nothing incremental to say.
+            None if removed > 0 => doc.index = PathIndex::build(&doc.root, &doc.nodes),
+            None => {}
+        }
+        removed
     }
 
     /// Replace the text content of the node at `key`. If `key` is a text
@@ -285,12 +355,13 @@ impl Store {
         };
         let Some(target) = target else { return false };
         let Some(doc) = self.doc_of_mut(&target) else { return false };
-        if let Some(node) = doc.nodes.get_mut(&target) {
-            node.data = NodeData::text(new_value);
-            true
-        } else {
-            false
+        let mark = target.parent().and_then(|p| doc.index.note_change(&doc.root, &doc.nodes, &p));
+        let Some(node) = doc.nodes.get_mut(&target) else { return false };
+        node.data = NodeData::text(new_value);
+        if let Some(mark) = mark {
+            doc.index.settle(&doc.nodes, mark);
         }
+        true
     }
 
     /// Replace the value of attribute `name` on the element at `key`.
@@ -298,24 +369,20 @@ impl Store {
         let Some(doc) = self.doc_of_mut(key) else { return false };
         // Probe through the shared map first: unsharing a page is only
         // worth paying when there is an element to mutate.
-        if !matches!(doc.nodes.get(key), Some(Node { data: NodeData::Element { .. }, .. })) {
+        let Some(Node { data: NodeData::Element { attrs, .. }, .. }) = doc.nodes.get(key) else {
             return false;
+        };
+        let old = attrs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
+        doc.index.set_attr(&doc.root, &doc.nodes, key, name, old, new_value);
+        let Some(Node { data: NodeData::Element { attrs, .. }, .. }) = doc.nodes.get_mut(key)
+        else {
+            return false;
+        };
+        match attrs.iter_mut().find(|(k, _)| k == name) {
+            Some((_, v)) => *v = new_value.to_string(),
+            None => attrs.push((name.to_string(), new_value.to_string())),
         }
-        match doc.nodes.get_mut(key) {
-            Some(Node { data: NodeData::Element { attrs, .. }, .. }) => {
-                match attrs.iter_mut().find(|(k, _)| k == name) {
-                    Some((_, v)) => {
-                        *v = new_value.to_string();
-                        true
-                    }
-                    None => {
-                        attrs.push((name.to_string(), new_value.to_string()));
-                        true
-                    }
-                }
-            }
-            _ => false,
-        }
+        true
     }
 
     /// Serialize the document registered under `name` back to XML text.
@@ -382,7 +449,9 @@ impl Doc {
     /// wire codec), bulk-loading the pages. The stream need not be sorted:
     /// the last of equal keys wins, as if inserted one by one.
     pub(crate) fn from_parts(name: String, root: FlexKey, nodes: Vec<(FlexKey, Node)>) -> Doc {
-        Doc { name, root, nodes: PageMap::from_entries(nodes) }
+        let nodes = PageMap::from_entries(nodes);
+        let index = PathIndex::build(&root, &nodes);
+        Doc { name, root, nodes, index }
     }
 
     /// Number of nodes in the document.
@@ -399,10 +468,14 @@ impl Doc {
         self.nodes.iter()
     }
 
-    /// Panic unless the node map's page invariants hold.
+    /// Panic unless both maps' page invariants hold and the index is the
+    /// one a fresh build over the nodes yields.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         self.nodes.check_invariants();
+        self.index.check_invariants();
+        let rebuilt = PathIndex::build(&self.root, &self.nodes);
+        assert_eq!(self.index.spelled(), rebuilt.spelled(), "index out of step with the nodes");
     }
 }
 
@@ -420,7 +493,7 @@ fn key_frag(key: FlexKey, frag: &Frag, sink: &mut impl FnMut(FlexKey, Node)) {
 /// neighbouring entry found by one probe names the neighbouring sibling.
 fn child_toward(parent: &FlexKey, entry: Option<(&FlexKey, &Node)>) -> Option<FlexKey> {
     let (k, _) = entry?;
-    parent.is_ancestor_of(k).then(|| FlexKey::from_segs(k.segs()[..parent.depth() + 1].to_vec()))
+    parent.is_ancestor_of(k).then(|| k.prefix(parent.depth() + 1))
 }
 
 #[cfg(test)]
@@ -650,6 +723,13 @@ mod tests {
         assert!(f.page_count() > 100, "a document of {} pages", f.page_count());
         assert!(l.pages_not_in(f) <= 3, "{} pages unshared", l.pages_not_in(f));
         assert!(f.pages_not_in(l) <= 2, "{} pages superseded", f.pages_not_in(l));
+        // The book's six index entries (book, @year, title, author, last,
+        // first) land in at most six places, each of which may split.
+        let (l, f) = (live.docs["bib.xml"].index.pages(), frozen.docs["bib.xml"].index.pages());
+        assert!(f.page_count() > 100, "an index of {} pages", f.page_count());
+        assert!(l.pages_not_in(f) <= 12, "{} index pages unshared", l.pages_not_in(f));
+        assert!(f.pages_not_in(l) <= 6, "{} index pages superseded", f.pages_not_in(l));
+        live.docs["bib.xml"].check_invariants();
         assert_eq!(live.total_nodes(), frozen.total_nodes() + 8);
         assert_eq!(frozen.children_named(&bib, "book").len(), 2400);
         assert_eq!(live.children_named(&bib, "book").len(), 2401);
@@ -672,9 +752,15 @@ mod tests {
         /// pages several times over.
         fn frag(&mut self, depth: usize) -> Frag {
             if depth == 0 || self.below(4) == 0 {
-                return Frag::text(format!("t{}", self.below(1000)));
+                return match self.below(8) {
+                    0 => Frag::text(format!("{}", self.below(3))),
+                    1 => Frag::text(format!("{}.0", self.below(3))),
+                    _ => Frag::text(format!("t{}", self.below(1000))),
+                };
             }
-            let mut f = Frag::elem(["a", "b", "c"][self.below(3)]).attr("id", "0");
+            // Ids that are equal as numbers, equal to nothing, or not numbers.
+            let id = ["0", "70", "70.0", "-0", "NaN", "x"][self.below(6)];
+            let mut f = Frag::elem(["a", "b", "c"][self.below(3)]).attr("id", id);
             if self.below(12) == 0 {
                 for i in 0..40 + self.below(60) {
                     f = f.child(Frag::elem("wide").text_child(format!("w{i}")));
@@ -751,9 +837,91 @@ mod tests {
         }
     }
 
+    /// What [`Store::nodes_by_value`] must answer for one label path, found
+    /// by navigating: whether every node there has a comparable value, and
+    /// the nodes per value (a spelling of it, and the keys in document order).
+    #[derive(Default)]
+    struct PathScan {
+        inexact: bool,
+        by_value: BTreeMap<String, (String, Vec<FlexKey>)>,
+    }
+
+    impl PathScan {
+        fn add(&mut self, value: &str, key: &FlexKey) {
+            let norm = match value.trim().parse::<f64>() {
+                Ok(n) if n.is_nan() => return self.inexact = true,
+                Ok(n) => format!("n{}", n + 0.0),
+                Err(_) => format!("s{value}"),
+            };
+            let run = self.by_value.entry(norm).or_insert_with(|| (value.to_string(), Vec::new()));
+            run.1.push(key.clone());
+        }
+    }
+
+    /// The scan oracle of the path-value index: every label path of every
+    /// document, walked child step by child step.
+    type PathScans = BTreeMap<(String, Vec<String>), PathScan>;
+
+    fn scan_paths(store: &Store) -> PathScans {
+        fn walk(
+            store: &Store,
+            doc: &str,
+            (at, node): (&FlexKey, &Node),
+            path: &mut Vec<String>,
+            out: &mut PathScans,
+        ) {
+            let NodeData::Element { name, attrs } = &node.data else { return };
+            path.push(name.clone());
+            let kids = store.children(at);
+            let scan = out.entry((doc.to_string(), path.clone())).or_default();
+            if kids.iter().any(|(_, kid)| kid.data.name().is_some()) {
+                scan.inexact = true;
+            } else {
+                scan.add(&store.string_value(at), at);
+            }
+            for (attr, value) in attrs {
+                path.push(format!("@{attr}"));
+                out.entry((doc.to_string(), path.clone())).or_default().add(value, at);
+                path.pop();
+            }
+            for (key, kid) in &kids {
+                walk(store, doc, (key, kid), path, out);
+            }
+            path.pop();
+        }
+        let mut out = BTreeMap::new();
+        for doc in store.docs.values() {
+            for (key, node) in store.children(&doc.root) {
+                walk(store, &doc.name, (&key, node), &mut Vec::new(), &mut out);
+            }
+        }
+        out
+    }
+
+    /// Every (path, value) lookup on `store` gives what the scan found.
+    fn assert_lookups_match(store: &Store, scans: &PathScans, what: &str) {
+        for ((doc, path), scan) in scans {
+            let path: Vec<&str> = path.iter().map(String::as_str).collect();
+            let got = |value: &str| store.nodes_by_value(doc, &path, value);
+            for (value, keys) in scan.by_value.values() {
+                let want = (!scan.inexact).then(|| keys.clone());
+                assert_eq!(got(value), want, "{what}: {doc} {path:?} = {value:?}");
+            }
+            let nobody = (!scan.inexact).then(Vec::new);
+            assert_eq!(got("no such value"), nobody, "{what}: {doc} {path:?}, absent value");
+            assert_eq!(got("NaN"), None, "{what}: NaN equals every number");
+            let mut deeper = path.clone();
+            deeper.push("no-such-label");
+            assert_eq!(store.nodes_by_value(doc, &deeper, "x"), Some(Vec::new()), "unknown path");
+        }
+        assert_eq!(store.nodes_by_value("no-such.xml", &["a"], "x"), None, "unknown document");
+    }
+
     /// Seeded model test: random updates against the oracle, with frozen
     /// copies taken (and dropped) along the way. After every operation the
-    /// page invariants hold, every read agrees with the oracle, and every
+    /// page invariants hold, the index is the one a fresh build yields,
+    /// every read agrees with the oracle, every (path, value) lookup equals
+    /// a scan — on the live store and on every frozen copy — and every
     /// frozen copy still equals the deep copy taken at its step.
     #[test]
     fn model_random_ops_match_btreemap_oracle() {
@@ -765,7 +933,8 @@ mod tests {
                 oracle.0.extend(doc.iter().map(|(k, n)| (k.clone(), n.clone())));
             }
             let handles: Vec<FlexKey> = store.docs.values().map(|d| d.root.clone()).collect();
-            let mut frozen: Vec<(Store, Store)> = Vec::new();
+            // (The copy, its deep copy, and what a scan of it found then.)
+            let mut frozen: Vec<(Store, Store, PathScans)> = Vec::new();
             let mut deleted: Vec<FlexKey> = Vec::new();
 
             for step in 0..250 {
@@ -842,7 +1011,7 @@ mod tests {
                         }
                     }
                     8 => {
-                        frozen.push((store.frozen(), oracle.deep_copy(&store)));
+                        frozen.push((store.frozen(), oracle.deep_copy(&store), scan_paths(&store)));
                         if frozen.len() > 3 {
                             frozen.remove(rng.below(frozen.len()));
                         }
@@ -869,6 +1038,7 @@ mod tests {
                     let kids: Vec<FlexKey> =
                         store.children(k).into_iter().map(|(c, _)| c).collect();
                     assert_eq!(kids, oracle.children(k), "children {k}");
+                    assert!(store.child_iter(k).map(|(c, _)| c).eq(&kids), "child_iter {k}");
                     let below: Vec<(&FlexKey, &Node)> = oracle.below(k).collect();
                     let got = store.descendants(k);
                     assert!(got.iter().map(|(k, n)| (k, *n)).eq(below), "descendants {k}");
@@ -879,11 +1049,11 @@ mod tests {
                         assert_eq!(store.prev_sibling(k).as_ref(), prev, "prev_sibling {k}");
                     }
                 }
-                for (copy, deep) in &frozen {
-                    assert!(
-                        copy.same_content(deep),
-                        "seed {seed} step {step}: a frozen copy moved"
-                    );
+                let at = format!("seed {seed} step {step}");
+                assert_lookups_match(&store, &scan_paths(&store), &at);
+                for (copy, deep, scans) in &frozen {
+                    assert!(copy.same_content(deep), "{at}: a frozen copy moved");
+                    assert_lookups_match(copy, scans, &format!("{at}, frozen"));
                 }
             }
         }

@@ -51,6 +51,33 @@ impl Step {
     pub fn descendant(test: NodeTest) -> Step {
         Step { axis: Axis::Descendant, test, predicate: None }
     }
+
+    /// This step as one label of a child-axis label path — the element
+    /// name, or `@name` for an attribute — which is how the store's
+    /// path-value index (`xmlstore::Store::nodes_by_value`) addresses
+    /// nodes. `None` for anything a label cannot say: the descendant axis,
+    /// `*`, `text()`, or a predicate.
+    pub fn label(&self) -> Option<String> {
+        match (&self.test, self.axis, &self.predicate) {
+            (NodeTest::Name(name), Axis::Child, None) => Some(name.clone()),
+            (NodeTest::Attr(name), _, None) => Some(format!("@{name}")),
+            _ => None,
+        }
+    }
+
+    /// `steps` as one label path (see [`Step::label`]): `None` if a step
+    /// has no label, if an attribute step is not the last (nothing lies
+    /// below an attribute), or if there are no steps.
+    pub fn label_path<'a>(steps: impl IntoIterator<Item = &'a Step>) -> Option<Vec<String>> {
+        let labels = steps.into_iter().map(Step::label).collect::<Option<Vec<_>>>()?;
+        let (_, inner) = labels.split_last()?;
+        inner.iter().all(|l| !l.starts_with('@')).then_some(labels)
+    }
+
+    /// Whether this step binds an element (not an attribute's value).
+    pub fn binds_element(&self) -> bool {
+        !matches!(self.test, NodeTest::Attr(_))
+    }
 }
 
 /// A predicate attached to a location step.

@@ -444,6 +444,8 @@ mod tests {
         let pos = parse_path("/bib/book[2]").unwrap();
         assert_eq!(pos[1].predicate, Some(crate::ast::StepPredicate::Position(2)));
         assert!(parse_path("/bib/book junk").is_err());
+        assert!(parse_path("/bib/book[0]").is_err(), "positions are 1-based");
+        assert!(UpdateOp::delete("bib.xml", "/bib/book[0]").is_err());
     }
 
     #[test]

@@ -304,6 +304,9 @@ impl<'a> P<'a> {
                 .unwrap()
                 .parse()
                 .map_err(|_| self.err("bad position"))?;
+            if n == 0 {
+                return Err(self.err("positions are 1-based: [0] selects nothing"));
+            }
             self.ws();
             self.expect("]")?;
             return Ok(StepPredicate::Position(n));

@@ -105,7 +105,10 @@ impl Decode for StepPredicate {
                 op: CmpOp::decode(r)?,
                 value: String::decode(r)?,
             }),
-            1 => Ok(StepPredicate::Position(usize::decode(r)?)),
+            1 => match usize::decode(r)? {
+                0 => Err(WireError::Invalid("step position 0: positions are 1-based".into())),
+                n => Ok(StepPredicate::Position(n)),
+            },
             tag => Err(WireError::Tag { type_name: "StepPredicate", tag }),
         }
     }
@@ -570,6 +573,18 @@ mod tests {
     #[test]
     fn empty_batch_roundtrips() {
         rt(UpdateBatch::new());
+    }
+
+    /// `[0]` can neither be parsed nor built, so only hostile bytes carry
+    /// it; it must not reach the resolver's `skip(n - 1)`.
+    #[test]
+    fn position_zero_rejected() {
+        let bytes = wire::to_vec(&StepPredicate::Position(0));
+        assert!(matches!(
+            wire::from_slice::<StepPredicate>(&bytes).unwrap_err(),
+            WireError::Invalid(_)
+        ));
+        rt(StepPredicate::Position(1));
     }
 
     #[test]

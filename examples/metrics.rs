@@ -119,9 +119,15 @@ fn main() {
         println!("  {name:<24} {}", snap.counter(name));
     }
     println!("== latency histograms (p50/p99 ns) ==");
-    for name in
-        ["svc/validate", "svc/propagate", "svc/apply", "wal/append", "wal/fsync", "ckpt/encode"]
-    {
+    for name in [
+        "svc/resolve",
+        "svc/validate",
+        "svc/propagate",
+        "svc/apply",
+        "wal/append",
+        "wal/fsync",
+        "ckpt/encode",
+    ] {
         let h = snap.histogram(name).expect(name);
         println!("  {name:<24} count {:>4}  p50 {:>9}  p99 {:>9}", h.count(), h.p50(), h.p99());
     }
@@ -142,7 +148,7 @@ fn main() {
     assert!(snap.counter("hub/chunks") > 0, "applied chunks");
     assert!(snap.counter("wal/fsyncs") > 0, "group-commit fsyncs");
     assert!(snap.counter("wal/rotations") > 0, "WAL rotations");
-    for name in ["svc/validate", "svc/propagate", "svc/apply"] {
+    for name in ["svc/resolve", "svc/validate", "svc/propagate", "svc/apply"] {
         assert!(snap.histogram(name).is_some_and(|h| h.count() > 0), "phase series {name}");
     }
     for view in ["y1900", "prices"] {

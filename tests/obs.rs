@@ -354,8 +354,17 @@ fn logical_counters_are_pool_size_invariant() {
     assert_eq!(a_counts, b_counts, "histogram sample counts diverged with pool width");
     // And the phase series genuinely ran.
     assert!(a.histogram("svc/apply").is_some_and(|h| h.count() > 0));
+    assert!(a.histogram("svc/resolve").is_some_and(|h| h.count() > 0));
     for view in ["titles", "join", "prices"] {
         let name = format!("view/{view}/apply");
         assert!(a.histogram(&name).is_some_and(|h| h.count() > 0), "missing {name}");
+        // The engine's row counters are logical too: the same IMP terms
+        // bind the same rows and probe the index as often at any width.
+        let rows = |cat: &ViewCatalog| {
+            let exec = cat.view_stats(view).unwrap().exec;
+            (exec.source_rows, exec.index_probes)
+        };
+        assert_eq!(rows(&serial), rows(&wide), "{view}: exec counters diverged with pool width");
     }
+    assert!(serial.view_stats("join").unwrap().exec.index_probes > 0, "the join view probes");
 }
