@@ -3,7 +3,6 @@
 
 use vpa_bench::harness::timed_with_setup;
 use vpa_bench::*;
-use vpa_core::ViewManager;
 
 fn main() {
     let books = 1000usize;
@@ -13,13 +12,13 @@ fn main() {
         10,
         || {
             let (store, cfg) = bib_store(books);
-            let vm = ViewManager::new(store, GROUPED_BIB_VIEW).unwrap();
+            let cat = one_view(store, GROUPED_BIB_VIEW);
             let script = datagen::insert_books_script(&cfg, books, 1, Some(1900));
-            (vm, script)
+            (cat, script)
         },
-        |(mut vm, script)| {
-            let _ = vm.apply_update_script(&script).unwrap();
-            vm
+        |(mut cat, script)| {
+            let _ = cat.apply_update_script(&script).unwrap();
+            cat
         },
     );
     timed_with_setup(
@@ -27,16 +26,16 @@ fn main() {
         10,
         || {
             let (store, cfg) = bib_store(books);
-            let mut vm = ViewManager::new(store, GROUPED_BIB_VIEW).unwrap();
+            let mut cat = one_view(store, GROUPED_BIB_VIEW);
             // Apply to sources; timing covers only recomputation.
-            let _ = vm
+            let _ = cat
                 .apply_update_script(&datagen::insert_books_script(&cfg, books, 1, Some(1900)))
                 .unwrap();
-            vm
+            cat
         },
-        |vm| {
-            let x = vm.recompute_xml().unwrap();
-            (vm, x)
+        |cat| {
+            let x = cat.view("v").unwrap().recompute_xml(cat.store()).unwrap();
+            (cat, x)
         },
     );
     timed_with_setup(
@@ -44,12 +43,12 @@ fn main() {
         10,
         || {
             let (store, _) = bib_store(books);
-            let vm = ViewManager::new(store, GROUPED_BIB_VIEW).unwrap();
-            (vm, datagen::delete_books_script(0, 1))
+            let cat = one_view(store, GROUPED_BIB_VIEW);
+            (cat, datagen::delete_books_script(0, 1))
         },
-        |(mut vm, script)| {
-            let _ = vm.apply_update_script(&script).unwrap();
-            vm
+        |(mut cat, script)| {
+            let _ = cat.apply_update_script(&script).unwrap();
+            cat
         },
     );
 }

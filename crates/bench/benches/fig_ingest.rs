@@ -1,6 +1,6 @@
 //! Bench for the ingestion front: one `apply_update_script` call per unit
-//! update vs the same units parsed once and streamed through a
-//! `viewsrv::CatalogSession` with a coalescing window (the `figures`
+//! update vs the same units parsed once and streamed through one
+//! `viewsrv::IngestHub` session with a coalescing window (the `figures`
 //! binary sweeps window sizes).
 
 use vpa_bench::harness::timed;

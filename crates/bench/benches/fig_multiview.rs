@@ -1,6 +1,6 @@
 //! Bench for the multi-view catalog: shared validation + parallel apply
 //! (`viewsrv::ViewCatalog`) vs the identical pipeline run sequentially vs a
-//! naive per-view `ViewManager` loop, at a representative view count (the
+//! naive loop over one-view catalogs, at a representative view count (the
 //! `figures` binary sweeps view counts).
 
 use vpa_bench::harness::timed;

@@ -14,7 +14,6 @@
 
 use std::time::Instant;
 use vpa_bench::*;
-use vpa_core::ViewManager;
 use xat::exec::ExecOptions;
 
 fn main() {
@@ -333,74 +332,58 @@ fn fig_phases() {
 }
 
 /// Checkpoint-stall sweep (beyond the paper): per-commit latency while
-/// the WAL rotates at every commit, background vs stop-the-world, across
-/// store sizes. Emits `BENCH_checkpoint.json`. The headline shape: the
-/// stop-the-world during-rotation latency grows linearly with the store
-/// (each rotation encodes + fsyncs the whole snapshot inline, ~10× the
-/// background p50 at the largest size here) while background rotation
-/// costs a seal + empty-log create, keeping the during-rotation p50
-/// within ~2–3× steady state — the maintenance-cost-tracks-the-update
-/// contract extended to durability. Caveat (`cores` is in the JSON): the
-/// background *during* percentiles carry (a) the one-time copy-on-write
-/// unshare the first post-capture write pays per touched extent (and,
-/// in the checked-in JSON, per touched document: it predates the paged
-/// node map), and (b) on a single-core runner, CPU contention with the
-/// encode job itself, which a second core removes.
+/// the WAL rotates at every commit, across store sizes. Emits
+/// `BENCH_checkpoint.json`. The headline shape: background rotation costs
+/// a seal + empty-log create, keeping the during-rotation p50 within
+/// ~2–3× steady state — the maintenance-cost-tracks-the-update contract
+/// extended to durability. Caveat (`cores` is in the JSON): the *during*
+/// percentiles carry (a) the one-time copy-on-write unshare the first
+/// post-capture write pays per touched extent, and (b) on a single-core
+/// runner, CPU contention with the encode job itself, which a second
+/// core removes.
 ///
-/// Phase accounting (the old 2400-book anomaly, where background's
-/// *steady* p99 read worse than stop-the-world's): registration-time
-/// checkpoints used to leave a detached encode job holding captured
-/// Arcs into the steady phase, so early "steady" commits paid the
-/// post-capture unshare. `measure_checkpoint` now settles the in-flight
-/// job and runs unmeasured warmup commits first; the `note` field in
-/// the JSON records this.
+/// Phase accounting: registration-time checkpoints can leave a detached
+/// encode job holding captured Arcs into the steady phase, so early
+/// "steady" commits would pay the post-capture unshare.
+/// `measure_checkpoint` settles the in-flight job and runs unmeasured
+/// warmup commits first; the `note` field in the JSON records this.
 fn fig_checkpoint() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("\n== fig_checkpoint: commit latency under rotation ({cores} cores) ==");
     println!(
-        "\n== fig_checkpoint: commit latency under rotation (background vs stop-the-world, \
-         {cores} cores) =="
-    );
-    println!(
-        "{:>6} {:>8} {:>15} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "books", "nodes", "mode", "steady-p50", "steady-p99", "during-p99", "rotations", "ratio"
+        "{:>6} {:>8} {:>12} {:>12} {:>12} {:>10} {:>8}",
+        "books", "nodes", "steady-p50", "steady-p99", "during-p99", "rotations", "ratio"
     );
     let n_views = 6usize;
     let dir = std::env::temp_dir().join(format!("xqview-figckpt-{}", std::process::id()));
     let mut rows = Vec::new();
     for books in [200usize, 800, 2400] {
-        for (label, mode) in [
-            ("background", viewsrv::CheckpointMode::Background),
-            ("stop-the-world", viewsrv::CheckpointMode::StopTheWorld),
-        ] {
-            let p = measure_checkpoint(books, n_views, mode, &dir);
-            // How much worse a during-rotation commit is than steady state.
-            let ratio = p.during_p99.as_secs_f64() / p.steady_p99.as_secs_f64().max(1e-9);
-            println!(
-                "{:>6} {:>8} {:>15} {} {} {} {:>10} {:>7.2}x",
-                books,
-                p.store_nodes,
-                label,
-                ms(p.steady_p50),
-                ms(p.steady_p99),
-                ms(p.during_p99),
-                p.rotations,
-                ratio,
-            );
-            rows.push(format!(
-                "    {{\"books\": {}, \"store_nodes\": {}, \"mode\": \"{}\", \
-                 \"steady_p50_ms\": {:.3}, \"steady_p99_ms\": {:.3}, \"during_p50_ms\": {:.3}, \
-                 \"during_p99_ms\": {:.3}, \"rotations\": {}, \"during_over_steady_p99\": {:.3}}}",
-                books,
-                p.store_nodes,
-                label,
-                p.steady_p50.as_secs_f64() * 1e3,
-                p.steady_p99.as_secs_f64() * 1e3,
-                p.during_p50.as_secs_f64() * 1e3,
-                p.during_p99.as_secs_f64() * 1e3,
-                p.rotations,
-                ratio,
-            ));
-        }
+        let p = measure_checkpoint(books, n_views, &dir);
+        // How much worse a during-rotation commit is than steady state.
+        let ratio = p.during_p99.as_secs_f64() / p.steady_p99.as_secs_f64().max(1e-9);
+        println!(
+            "{:>6} {:>8} {} {} {} {:>10} {:>7.2}x",
+            books,
+            p.store_nodes,
+            ms(p.steady_p50),
+            ms(p.steady_p99),
+            ms(p.during_p99),
+            p.rotations,
+            ratio,
+        );
+        rows.push(format!(
+            "    {{\"books\": {}, \"store_nodes\": {}, \
+             \"steady_p50_ms\": {:.3}, \"steady_p99_ms\": {:.3}, \"during_p50_ms\": {:.3}, \
+             \"during_p99_ms\": {:.3}, \"rotations\": {}, \"during_over_steady_p99\": {:.3}}}",
+            books,
+            p.store_nodes,
+            p.steady_p50.as_secs_f64() * 1e3,
+            p.steady_p99.as_secs_f64() * 1e3,
+            p.during_p50.as_secs_f64() * 1e3,
+            p.during_p99.as_secs_f64() * 1e3,
+            p.rotations,
+            ratio,
+        ));
     }
     let json = format!(
         "{{\n  \"figure\": \"checkpoint\",\n  {},\n  \"views\": {n_views},\n  \
@@ -536,7 +519,7 @@ fn fig_recovery() {
 }
 
 /// Ingestion-front sweep (beyond the paper): one `apply_update_script`
-/// call per unit update vs the typed/queued `CatalogSession` path, over
+/// call per unit update vs the typed/queued hub-session path, over
 /// growing coalescing windows. `window 1` isolates the typed-batch parse-
 /// once savings; larger windows add the amortized shared-validate and
 /// per-view refresh.
@@ -567,7 +550,7 @@ fn fig_ingest() {
 
 /// Multi-view catalog sweep (beyond the paper): shared validation +
 /// relevancy routing + parallel apply vs the same pipeline sequential vs a
-/// naive per-view `ViewManager` loop, over growing view counts.
+/// naive loop over one-view catalogs, over growing view counts.
 fn fig_multiview() {
     println!("\n== fig_multiview: catalog vs naive per-view loop ==");
     println!(
@@ -791,12 +774,12 @@ fn fig9_6_fragment_delete() {
         let mut store = xmlstore::Store::new();
         store.load_doc("bib.xml", &datagen::bib_xml(&cfg)).unwrap();
         store.load_doc("prices.xml", &datagen::prices_xml(&cfg)).unwrap();
-        let mut vm = ViewManager::new(store, GROUPED_BIB_VIEW).unwrap();
-        let fragment_nodes = vm.extent().size();
+        let mut cat = one_view(store, GROUPED_BIB_VIEW);
+        let fragment_nodes = cat.view("v").unwrap().extent().size();
         // (a) Naive apply baseline ([LD00]-style): delete every descendant
         // of the doomed fragment one by one inside the extent.
         let naive = {
-            let mut extent = vm.extent().clone();
+            let mut extent = cat.view("v").unwrap().extent().clone();
             let t = Instant::now();
             let n = delete_node_by_node(&mut extent.roots);
             assert!(n >= fragment_nodes - 1);
@@ -805,7 +788,7 @@ fn fig9_6_fragment_delete() {
         // (b) Count-aware deep union: the delta carries only the fragment
         // root with count −1; the whole subtree disconnects at once.
         let disconnect = {
-            let mut extent = vm.extent().clone();
+            let mut extent = cat.view("v").unwrap().extent().clone();
             let group_sem = extent.roots[0].children[0].sem.clone();
             let doomed = xat::VNode {
                 sem: group_sem,
@@ -826,12 +809,12 @@ fn fig9_6_fragment_delete() {
         // and (d) recompute, for context.
         let script = datagen::delete_year_script(1900);
         let t0 = Instant::now();
-        let _ = vm.apply_update_script(&script).unwrap();
+        let _ = cat.apply_update_script(&script).unwrap();
         let full = t0.elapsed();
         let t1 = Instant::now();
-        let oracle = vm.recompute_xml().unwrap();
+        let oracle = cat.view("v").unwrap().recompute_xml(cat.store()).unwrap();
         let recomp = t1.elapsed();
-        assert_eq!(vm.extent_xml(), oracle);
+        assert_eq!(cat.extent_xml("v").unwrap(), oracle);
         println!("{:>12} {} {} {:>14} {}", group, ms(disconnect), ms(naive), ms(full), ms(recomp),);
     }
 }

@@ -11,7 +11,6 @@
 //! figure's *shape* — who wins, how costs break down, how curves trend.
 
 use std::time::{Duration, Instant};
-use vpa_core::ViewManager;
 use xat::exec::{ExecOptions, ExecStats, Executor};
 use xat::translate::translate_query;
 use xmlstore::Store;
@@ -105,10 +104,12 @@ pub fn bib_store(books: usize) -> (Store, datagen::BibConfig) {
 /// Outcome of one maintenance-vs-recompute measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintPoint {
-    /// Resolving the update script's bindings/predicates against the store.
-    /// Reported separately: the paper's experiments receive updates as
-    /// already-targeted update primitives (Ch. 5), so script resolution is
-    /// input preparation, not maintenance.
+    /// Resolving the update script's bindings/predicates against the store,
+    /// timed on its own read-only pass: the paper's experiments receive
+    /// updates as already-targeted update primitives (Ch. 5), so script
+    /// resolution is input preparation, not maintenance. `maintain` and
+    /// `validate` include it too (the catalog resolves inside
+    /// `apply_batch`).
     pub resolve: Duration,
     pub maintain: Duration,
     pub recompute: Duration,
@@ -117,21 +118,29 @@ pub struct MaintPoint {
     pub apply: Duration,
 }
 
+/// A catalog over `store` holding the single view `q`, registered as `"v"`.
+pub fn one_view(store: Store, q: &str) -> viewsrv::ViewCatalog {
+    let mut cat = viewsrv::ViewCatalog::new(store);
+    cat.register("v", q).expect("view registers");
+    cat
+}
+
 /// Measure maintaining `view` under `script` on a fresh store vs
 /// recomputing, asserting equality of the results (every bench doubles as a
 /// correctness check).
 pub fn measure_maintenance(store: Store, view: &str, script: &str) -> MaintPoint {
-    let mut vm = ViewManager::new(store, view).expect("view");
+    let mut cat = one_view(store, view);
+    let batch = viewsrv::UpdateBatch::from_script(script).expect("script parses");
     let tr = Instant::now();
-    let resolved = vpa_core::resolve_update_script(vm.store(), script).expect("resolution");
+    let _ = vpa_core::resolve_batch(cat.store(), &batch).expect("resolution");
     let resolve = tr.elapsed();
     let t0 = Instant::now();
-    let stats = vm.apply_resolved(resolved).expect("maintenance");
+    let stats = cat.apply_batch(&batch).expect("maintenance").stats;
     let maintain = t0.elapsed();
     let t1 = Instant::now();
-    let oracle = vm.recompute_xml().expect("recompute");
+    let oracle = cat.view("v").expect("registered").recompute_xml(cat.store()).expect("recompute");
     let recompute = t1.elapsed();
-    assert_eq!(vm.extent_xml(), oracle, "bench correctness check");
+    assert_eq!(cat.extent_xml("v").unwrap(), oracle, "bench correctness check");
     MaintPoint {
         resolve,
         maintain,
@@ -213,8 +222,8 @@ pub struct MultiViewPoint {
     pub catalog: Duration,
     /// The identical routed pipeline, forced sequential.
     pub catalog_seq: Duration,
-    /// Naive baseline: one `ViewManager` per view, each re-resolving and
-    /// re-validating every script against its own store copy.
+    /// Naive baseline: one one-view catalog per view, each re-resolving
+    /// and re-validating every script against its own store copy.
     pub naive: Duration,
     /// (update, view) pairs the catalog skipped by relevancy.
     pub views_skipped: usize,
@@ -223,7 +232,7 @@ pub struct MultiViewPoint {
 }
 
 /// Maintain `queries` under `scripts` three ways — catalog (parallel),
-/// catalog (sequential), and a naive per-view `ViewManager` loop — timing
+/// catalog (sequential), and a naive loop over one-view catalogs — timing
 /// each and asserting all three produce identical extents.
 pub fn measure_multiview(
     store: &Store,
@@ -254,30 +263,21 @@ pub fn measure_multiview(
     }
     let catalog_seq = t0.elapsed();
 
-    // Naive: independent managers over private store copies.
-    let mut managers: Vec<(String, ViewManager)> = queries
-        .iter()
-        .map(|(name, q)| (name.clone(), ViewManager::new(store.clone(), q).expect("view")))
-        .collect();
+    // Naive: independent one-view catalogs over private store copies.
+    let mut solos: Vec<viewsrv::ViewCatalog> =
+        queries.iter().map(|(_, q)| one_view(store.clone(), q)).collect();
     let t0 = Instant::now();
     for s in scripts {
-        for (_, vm) in &mut managers {
-            let _ = vm.apply_update_script(s).expect("naive maintenance");
+        for solo in &mut solos {
+            let _ = solo.apply_update_script(s).expect("naive maintenance");
         }
     }
     let naive = t0.elapsed();
 
-    for (name, vm) in &managers {
-        assert_eq!(
-            cat.extent_xml(name).unwrap(),
-            vm.extent_xml(),
-            "catalog vs naive divergence on {name}"
-        );
-        assert_eq!(
-            seq.extent_xml(name).unwrap(),
-            vm.extent_xml(),
-            "sequential catalog divergence on {name}"
-        );
+    for ((name, _), solo) in queries.iter().zip(&solos) {
+        let want = solo.extent_xml("v").unwrap();
+        assert_eq!(cat.extent_xml(name).unwrap(), want, "catalog vs naive divergence on {name}");
+        assert_eq!(seq.extent_xml(name).unwrap(), want, "sequential catalog divergence on {name}");
     }
 
     MultiViewPoint {
@@ -306,8 +306,8 @@ pub struct IngestPoint {
     /// One `apply_update_script` call per unit script (parse + resolve +
     /// shared validate + routed refresh, per call).
     pub per_call: Duration,
-    /// The same units parsed once into typed batches and streamed through a
-    /// [`viewsrv::CatalogSession`] with a coalescing window.
+    /// The same units parsed once into typed batches and streamed through
+    /// one [`viewsrv::IngestHub`] session with a coalescing window.
     pub session: Duration,
     /// Submissions the session accepted.
     pub submissions: usize,
@@ -323,7 +323,7 @@ pub fn ingest_units(cfg: &datagen::BibConfig, n: usize) -> Vec<String> {
 }
 
 /// Maintain `queries` under `units` two ways — one script call per unit vs
-/// a session coalescing typed batches under `window_ops` — timing both and
+/// a hub session coalescing typed batches under `window_ops` — timing both and
 /// asserting identical extents plus the recompute oracle.
 pub fn measure_ingest(
     store: &Store,
@@ -342,21 +342,31 @@ pub fn measure_ingest(
     }
     let per_call = t0.elapsed();
 
-    // Ingestion front: parse once, stream through a bounded session.
+    // Ingestion front: parse once, stream through a bounded hub session.
+    // The background window outlasts the run, so `commit` drains the
+    // whole queue inline, `window_ops` at a time.
     let mut session_cat = viewsrv::ViewCatalog::new(store.clone());
     for (name, q) in queries {
         session_cat.register(name, q).expect("view registers");
     }
     let batches: Vec<viewsrv::UpdateBatch> =
         units.iter().map(|u| viewsrv::UpdateBatch::from_script(u).expect("unit parses")).collect();
+    let hub = session_cat.into_hub(viewsrv::HubConfig {
+        queue_capacity: units.len().max(1),
+        window_ops,
+        window_ms: 60_000,
+        ..viewsrv::HubConfig::default()
+    });
+    let session = hub.handle();
     let t0 = Instant::now();
-    let mut session = session_cat
-        .session(viewsrv::SessionConfig { queue_capacity: units.len().max(1), window_ops });
     for b in batches {
         session.try_submit(b).expect("capacity covers the workload");
     }
     let receipt = session.commit().expect("session maintenance");
     let session_time = t0.elapsed();
+    drop(session);
+    let inner = hub.shutdown();
+    let session_cat = inner.catalog();
 
     for (name, _) in queries {
         assert_eq!(
@@ -425,7 +435,7 @@ pub fn measure_recovery(
     assert_eq!(cat.recovery().replayed_batches, tail, "replayed the whole tail");
 
     // Recompute-all baseline over the identical final store.
-    let store = cat.store().clone();
+    let store = cat.catalog().store().clone();
     let t1 = Instant::now();
     let mut naive = viewsrv::ViewCatalog::new(store);
     for (name, q) in &queries {
@@ -434,7 +444,7 @@ pub fn measure_recovery(
     let recompute = t1.elapsed();
     for (name, _) in &queries {
         assert_eq!(
-            cat.extent_xml(name).unwrap(),
+            cat.catalog().extent_xml(name).unwrap(),
             naive.extent_xml(name).unwrap(),
             "recovered extent diverged from recomputation on {name}"
         );
@@ -443,8 +453,7 @@ pub fn measure_recovery(
     RecoveryPoint { cold_open, recompute, replayed_batches: tail, wal_bytes }
 }
 
-/// Outcome of one checkpoint-stall measurement at a fixed store size and
-/// [`viewsrv::CheckpointMode`].
+/// Outcome of one checkpoint-stall measurement at a fixed store size.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointPoint {
     /// Median per-commit latency with rotation disabled.
@@ -454,10 +463,8 @@ pub struct CheckpointPoint {
     /// Median per-commit latency with a rotation forced at every commit.
     pub during_p50: Duration,
     /// Worst-percentile per-commit latency under forced rotation — the
-    /// headline number: for background checkpointing it stays within a
-    /// small multiple of steady state; for stop-the-world it grows with
-    /// the store (every rotation encodes and fsyncs the whole snapshot
-    /// inline).
+    /// headline number: background checkpointing keeps it within a small
+    /// multiple of steady state.
     pub during_p99: Duration,
     /// Checkpoint generations advanced during the measured window.
     pub rotations: u64,
@@ -471,15 +478,10 @@ fn percentile(sorted: &[Duration], p: usize) -> Duration {
 
 /// Build a durable catalog of `n_views` views over a `books`-book store,
 /// measure per-commit latency in steady state (no rotation), then force a
-/// checkpoint at every commit under `mode` and measure again. Asserts the
+/// checkpoint at every commit and measure again. Asserts the
 /// recompute oracle at the end (every bench doubles as a correctness
 /// check). The directory is created and removed.
-pub fn measure_checkpoint(
-    books: usize,
-    n_views: usize,
-    mode: viewsrv::CheckpointMode,
-    dir: &std::path::Path,
-) -> CheckpointPoint {
+pub fn measure_checkpoint(books: usize, n_views: usize, dir: &std::path::Path) -> CheckpointPoint {
     let _ = std::fs::remove_dir_all(dir);
     let cfg = bib_config(books);
     // Linear projection views: a one-book insert propagates as a small
@@ -509,13 +511,12 @@ pub fn measure_checkpoint(
     for (name, q) in &queries {
         cat.register(name, q).expect("register view");
     }
-    cat.set_checkpoint_mode(mode);
     // A private two-lane pool guarantees the background job really runs
     // on another thread even under `XQVIEW_POOL_THREADS=1` or on a
     // single-core runner (a one-lane pool degrades spawn to inline, which
-    // would measure stop-the-world twice).
+    // would stall every rotating commit for the whole encode + fsync).
     cat.set_checkpoint_pool(exec::Executor::new(2));
-    let store_nodes = cat.store().total_nodes();
+    let store_nodes = cat.catalog().store().total_nodes();
     let commits = 30usize;
     let commit_once = |cat: &mut viewsrv::DurableCatalog, i: usize| -> Duration {
         let script = datagen::insert_books_script(&cfg, 5000 + i, 1, Some(1900));
@@ -526,14 +527,13 @@ pub fn measure_checkpoint(
     };
 
     // Phase hygiene (the BENCH_checkpoint anomaly): document loads and
-    // view registration themselves checkpoint, and in Background mode
-    // the detached encode job can still hold the captured store/extent
-    // Arcs when the first "steady" commits run — those commits then pay
-    // the one-time copy-on-write unshare of every touched document,
-    // which used to leak setup cost into steady_p99 (background's
-    // *steady* p99 read worse than stop-the-world's). Settle the
-    // in-flight job and pay the unshare in unmeasured warmup commits so
-    // the steady phase measures steady state only.
+    // view registration themselves checkpoint, and the detached encode
+    // job can still hold the captured store/extent Arcs when the first
+    // "steady" commits run — those commits then pay the one-time
+    // copy-on-write unshare of every touched document, which used to
+    // leak setup cost into steady_p99. Settle the in-flight job and pay
+    // the unshare in unmeasured warmup commits so the steady phase
+    // measures steady state only.
     cat.set_rotate_policy(viewsrv::RotatePolicy::disabled());
     cat.settle_checkpoint();
     for i in 0..4 {
@@ -544,7 +544,7 @@ pub fn measure_checkpoint(
     let mut steady: Vec<Duration> = (0..commits).map(|i| commit_once(&mut cat, i)).collect();
 
     // Rotation-heavy: the policy fires at every commit, so each latency
-    // sample includes whatever the mode's checkpointer does inline.
+    // sample includes whatever the checkpointer does inline.
     let gen_before = cat.generation();
     cat.set_rotate_policy(viewsrv::RotatePolicy::records(1));
     let mut during: Vec<Duration> =

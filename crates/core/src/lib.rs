@@ -16,34 +16,34 @@
 //!    telescoping `Δ(V) = Σᵢ V(S_pre^{<i}, Δᵢ, S_post^{>i})`), and is
 //!    executed by the ordinary `xat` engine. The result is a *delta update
 //!    tree* with signed derivation counts (Ch. 6).
-//! 3. **Apply** ([`crate::manager`]) — delta update trees refresh the
-//!    materialized extent through the **count-aware Deep Union** (§6.6,
+//! 3. **Apply** ([`MaintView::apply_delta`]) — delta update trees refresh
+//!    the materialized extent through the **count-aware Deep Union** (§6.6,
 //!    Ch. 8): nodes merge by semantic identifier, counts sum, a node whose
 //!    count reaches zero is removed by disconnecting its root — an entire
 //!    fragment disappears without visiting descendants (§8.3.2), and
 //!    insertion positions come from the semantic ids' order prefixes.
 //!
-//! [`ViewManager`] packages the whole lifecycle: define → materialize →
-//! `apply_updates` → refreshed extent, with per-phase cost statistics
-//! matching the breakdowns of the paper's Chapter 9 experiments, plus a
-//! `recompute` oracle implementing the paper's correctness definition
-//! (§1.2: the refreshed view must equal the view recomputed over the
-//! updated sources).
+//! [`MaintView`] is one view's definition, extent and VPA primitives, each
+//! taking the source store explicitly; [`MaintStats`] is its per-phase
+//! cost breakdown (the Chapter 9 experiments), and
+//! [`MaintView::recompute_xml`] is the paper's correctness oracle (§1.2:
+//! the refreshed view must equal the view recomputed over the updated
+//! sources). The rounds themselves — per document, deletes, then
+//! modifies, then inserts — are sequenced in one place, the `viewsrv`
+//! catalog, which pairs N views (or one) with a shared store.
 
-pub mod manager;
 pub mod propagate;
 pub mod update;
 pub mod validate;
 pub mod view;
 
-pub use manager::{MaintError, MaintStats, ViewManager};
 pub use propagate::propagate_batch;
 pub use update::{
     apply_to_store, resolve_batch, resolve_op, resolve_update_script, resolve_updates,
     ResolvedUpdate, UpdateKind,
 };
 pub use validate::{Relevancy, Sapt};
-pub use view::MaintView;
+pub use view::{MaintError, MaintStats, MaintView};
 // The typed update contract flows through unchanged: re-exported so
 // maintenance callers need not depend on the language crate directly.
 pub use xquery_lang::{InsertPosition, OpAction, OpKind, UpdateBatch, UpdateOp};

@@ -1,25 +1,110 @@
 //! [`MaintView`]: one maintained view *without* its store.
 //!
-//! The seed's [`crate::ViewManager`] owns both the sources and the view —
-//! correct for the paper's single-view experiments, but a service maintains
-//! **many** views over **shared** documents. `MaintView` is the store-less
-//! core extracted from the manager: definition (plan + SAPT), materialized
-//! extent, and the VPA primitives (compute, propagate, apply-delta, in-place
-//! text patch), each parameterized by an external `&Store`. `ViewManager`
-//! now wraps `Store + MaintView`; the `viewsrv` catalog drives N
-//! `MaintView`s over one store, validating each source update once.
+//! A service maintains **many** views over **shared** documents, so the
+//! view and its sources live apart: `MaintView` holds the definition
+//! (plan + SAPT), the materialized extent, and the VPA primitives
+//! (compute, propagate, apply-delta, in-place text patch), each
+//! parameterized by an external `&Store`. The `viewsrv` catalog pairs N
+//! `MaintView`s with one store and sequences the rounds; a single view is
+//! a one-view catalog.
 
-use crate::manager::MaintError;
 use crate::propagate::propagate_batch;
 use crate::update::UpdateError;
 use crate::validate::Sapt;
 use flexkey::{FlexKey, SemId};
+use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 use xat::exec::{ExecError, ExecOptions, ExecStats, Executor};
 use xat::plan::Plan;
-use xat::translate::translate_query;
+use xat::translate::{translate_query, TranslateError};
 use xat::{VNode, ViewExtent};
 use xmlstore::{Frag, InsertPos, NodeData, Store};
+
+/// Per-view maintenance statistics (the Chapter 9 cost breakdown:
+/// validate / propagate / apply).
+///
+/// The phase fields are wall times of the (possibly pool-parallel)
+/// sections; `exec` is *summed* over every IMP execution, so it reads as
+/// CPU time and can exceed the wall total. [`MaintStats::merge`] is
+/// associative and commutative (plain `+` on every field), so aggregating
+/// rounds in any order — including pooled completion order — yields the
+/// same totals.
+#[must_use = "maintenance statistics report the per-phase costs of the round"]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MaintStats {
+    pub validate: Duration,
+    pub propagate: Duration,
+    pub apply: Duration,
+    /// Engine statistics accumulated over all IMP executions.
+    pub exec: ExecStats,
+    pub relevant: usize,
+    pub irrelevant: usize,
+    /// Modifies served by the in-place fast path.
+    pub fast_modifies: usize,
+}
+
+impl MaintStats {
+    pub fn total(&self) -> Duration {
+        self.validate + self.propagate + self.apply
+    }
+
+    /// Fold another round in. Field-wise `+`: associative, commutative,
+    /// and order-independent by construction (asserted by unit test).
+    pub fn merge(&mut self, o: MaintStats) {
+        self.validate += o.validate;
+        self.propagate += o.propagate;
+        self.apply += o.apply;
+        self.relevant += o.relevant;
+        self.irrelevant += o.irrelevant;
+        self.fast_modifies += o.fast_modifies;
+        self.exec.merge(&o.exec);
+    }
+}
+
+/// Any failure across the maintenance lifecycle.
+#[derive(Debug)]
+pub enum MaintError {
+    Translate(TranslateError),
+    Exec(ExecError),
+    Update(UpdateError),
+}
+
+impl fmt::Display for MaintError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MaintError::Translate(e) => write!(f, "{e}"),
+            MaintError::Exec(e) => write!(f, "{e}"),
+            MaintError::Update(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for MaintError {}
+
+impl From<TranslateError> for MaintError {
+    fn from(e: TranslateError) -> Self {
+        MaintError::Translate(e)
+    }
+}
+
+impl From<ExecError> for MaintError {
+    fn from(e: ExecError) -> Self {
+        MaintError::Exec(e)
+    }
+}
+
+impl From<UpdateError> for MaintError {
+    fn from(e: UpdateError) -> Self {
+        MaintError::Update(e)
+    }
+}
+
+impl From<xquery_lang::QueryParseError> for MaintError {
+    fn from(e: xquery_lang::QueryParseError) -> Self {
+        MaintError::Update(e.into())
+    }
+}
 
 /// A materialized XQuery view minus the source store: definition, SAPT, and
 /// extent, with every maintenance primitive taking the store explicitly.
@@ -290,5 +375,53 @@ fn patch_text(node: &mut VNode, ident: &flexkey::semid::SemBody, new_value: &str
     }
     for c in &mut node.children {
         patch_text(c, ident, new_value);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(seed: u64) -> MaintStats {
+        let d = |k: u64| Duration::from_nanos(seed * 1_000 + k);
+        let exec = ExecStats {
+            total: d(1),
+            order_schema: d(2),
+            overriding: d(3),
+            semid: d(4),
+            final_sort: d(5),
+            source_rows: seed * 17,
+            index_probes: seed * 19,
+        };
+        MaintStats {
+            validate: d(6),
+            propagate: d(7),
+            apply: d(8),
+            exec,
+            relevant: seed as usize,
+            irrelevant: seed as usize * 3,
+            fast_modifies: seed as usize * 7,
+        }
+    }
+
+    /// Pooled rounds settle in nondeterministic order; the aggregation
+    /// must not care. `merge` is field-wise `+`, so associativity and
+    /// commutativity hold exactly (no floats involved).
+    #[test]
+    fn maint_stats_merge_is_associative_and_commutative() {
+        let (a, b, c) = (sample(3), sample(11), sample(40));
+        let mut ab_c = a;
+        ab_c.merge(b);
+        ab_c.merge(c);
+        let mut bc = b;
+        bc.merge(c);
+        let mut a_bc = a;
+        a_bc.merge(bc);
+        assert_eq!(ab_c, a_bc, "associativity");
+        let mut ab = a;
+        ab.merge(b);
+        let mut ba = b;
+        ba.merge(a);
+        assert_eq!(ab, ba, "commutativity");
     }
 }

@@ -135,7 +135,7 @@ fn main() {
             rep.fresh, rep.replayed_batches
         );
         for (name, path) in &args.loads {
-            if dc.store().doc(name).is_some() {
+            if dc.catalog().store().doc(name).is_some() {
                 eprintln!("xqview-server: document {name} already recovered, not reloading");
                 continue;
             }

@@ -269,7 +269,7 @@ fn kill9_mid_stream_then_restart_preserves_committed_state() {
     reopened.verify_all().unwrap();
     for (i, (name, _)) in views.iter().enumerate() {
         assert_eq!(
-            reopened.extent_bytes(name).unwrap(),
+            reopened.catalog().extent_bytes(name).unwrap(),
             final_reference[i],
             "{name}: sealed extent diverged"
         );

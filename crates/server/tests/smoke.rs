@@ -217,7 +217,7 @@ fn graceful_shutdown_seals_the_wal() {
         0,
         "graceful shutdown must seal the WAL (nothing to replay)"
     );
-    assert_eq!(reopened.extent_bytes("y1900").unwrap(), pre, "sealed extent diverged");
+    assert_eq!(reopened.catalog().extent_bytes("y1900").unwrap(), pre, "sealed extent diverged");
     reopened.verify_all().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

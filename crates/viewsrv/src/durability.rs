@@ -29,9 +29,10 @@
 //! └─────────┴──────────┴──────────────────────────────┴───────────┘
 //! ```
 //!
-//! Appends are sequential and synced before the batch is applied
-//! (**append-then-apply**), so at any crash point the log holds every
-//! applied batch plus at most one torn record, which recovery discards
+//! Appends are sequential and precede the batch's application
+//! (**append-then-apply**); a commit is acknowledged only after its
+//! (group) fsync, so at any crash point the log holds every acknowledged
+//! batch plus at most one torn record, which recovery discards
 //! ([`wire::frame::FrameRead::Torn`]). A batch whose application fails is
 //! rolled back out of the log, keeping the invariant *log contents ==
 //! applied batches*.
@@ -55,8 +56,8 @@
 //! # Background checkpointing
 //!
 //! Data-path rotations (the [`RotatePolicy`] firing under commits or hub
-//! rounds) do **not** stop the world. In the default
-//! [`CheckpointMode::Background`], a rotation:
+//! rounds) do **not** stop the world. A rotation
+//! ([`DurableCatalog::checkpoint`]):
 //!
 //! 1. captures a [`Snapshot`] of the current state in O(documents) time
 //!    (the store's node maps are Arc-shared page by page, copy-on-write —
@@ -102,12 +103,12 @@
 //! // A new process recovers snapshot + 1-record log tail, no recompute:
 //! let cat = DurableCatalog::open(&dir).unwrap();
 //! assert_eq!(cat.recovery().replayed_batches, 1);
-//! assert!(cat.extent_xml("all").unwrap().contains("U"));
+//! assert!(cat.catalog().extent_xml("all").unwrap().contains("U"));
 //! cat.verify_all().unwrap();
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use crate::{BatchReceipt, CatalogError, CatalogSession, SessionConfig, UpdateBatch, ViewCatalog};
+use crate::{BatchReceipt, CatalogError, UpdateBatch, ViewCatalog};
 use flexkey::FlexKey;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -476,33 +477,6 @@ impl Wal {
         self.file.try_clone()
     }
 
-    /// The journaled commit sequence — the single implementation behind
-    /// both [`DurableCatalog::apply_batch`] and journaled
-    /// [`CatalogSession`] flushes: append + sync (the durability point),
-    /// then apply, rolling the record back out of the log if application
-    /// fails. Keeps the invariant *log contents == applied batches*.
-    pub(crate) fn commit_batch(
-        &mut self,
-        catalog: &mut ViewCatalog,
-        batch: &UpdateBatch,
-    ) -> Result<BatchReceipt, CommitError> {
-        let rollback = self.append(batch).map_err(CommitError::Journal)?;
-        self.sync().map_err(CommitError::Journal)?;
-        match catalog.apply_batch(batch) {
-            Ok(receipt) => Ok(receipt),
-            Err(e) => {
-                let records = self.records().saturating_sub(1);
-                if let Err(io) = self.truncate_to(rollback, records) {
-                    // The log now holds a record the catalog rejected and
-                    // we cannot remove: surface the I/O failure (recovery
-                    // will retry the record, fail again, and truncate it).
-                    return Err(CommitError::Journal(io));
-                }
-                Err(CommitError::Catalog(e))
-            }
-        }
-    }
-
     /// Count the committed (decodable) batch records in the log at `path`
     /// without opening it for writing or truncating anything — the
     /// read-only probe [`DurableCatalog::open`] uses before deciding a
@@ -544,15 +518,6 @@ impl Wal {
         }
         Ok(None)
     }
-}
-
-/// Failure of one journaled commit ([`Wal::commit_batch`]).
-pub(crate) enum CommitError {
-    /// Journaling failed; nothing was applied.
-    Journal(std::io::Error),
-    /// The journaled batch failed to apply and was rolled back out of the
-    /// log.
-    Catalog(CatalogError),
 }
 
 /// Group-commit accounting handles, registered as the `wal/fsyncs` and
@@ -708,9 +673,7 @@ impl GroupCommit {
 /// replay after a long uptime" hole without the operator scheduling
 /// checkpoints. Rotation points: every direct
 /// [`DurableCatalog::apply_batch`] commit, every hub drain round's
-/// durability point, every [`DurableCatalog::session`] opening (the
-/// borrowed session itself cannot rotate while it holds the log), and
-/// [`DurableCatalog::open`].
+/// durability point, and [`DurableCatalog::open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RotatePolicy {
     /// Rotate once the tail holds this many records.
@@ -763,23 +726,6 @@ pub struct RecoveryReport {
     pub chained_segments: usize,
     /// True when the directory held no snapshot at all (fresh catalog).
     pub fresh: bool,
-}
-
-/// How [`DurableCatalog`] runs data-path checkpoints (the rotations
-/// triggered by [`RotatePolicy`]; explicit [`DurableCatalog::snapshot`]
-/// calls and administrative mutations are always synchronous).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// Seal the generation, switch commits to the next log immediately,
-    /// and encode + fsync the snapshot on a detached [`exec`] pool job —
-    /// producers never wait for O(store) work.
-    #[default]
-    Background,
-    /// The pre-chaining behavior: write the snapshot inline, stalling
-    /// whoever triggered the rotation for the full encode + fsync (kept
-    /// as the `fig_checkpoint` baseline and for environments that want
-    /// strictly serial I/O).
-    StopTheWorld,
 }
 
 /// A background checkpoint in flight: its target generation and the
@@ -853,7 +799,6 @@ pub struct DurableCatalog {
     gc: Arc<GroupCommit>,
     m: DurMetrics,
     rotate: RotatePolicy,
-    mode: CheckpointMode,
     /// Pool the background checkpoint job runs on (the shared global pool
     /// unless pinned by [`DurableCatalog::set_checkpoint_pool`]).
     ckpt_pool: exec::Executor,
@@ -1138,7 +1083,6 @@ impl DurableCatalog {
             gc,
             m,
             rotate: RotatePolicy::default(),
-            mode: CheckpointMode::default(),
             ckpt_pool: exec::Executor::global().clone(),
             pending: None,
             last_ckpt_error: None,
@@ -1167,27 +1111,6 @@ impl DurableCatalog {
     /// Read access to the recovered live catalog.
     pub fn catalog(&self) -> &ViewCatalog {
         &self.catalog
-    }
-
-    /// Read access to the shared source store.
-    pub fn store(&self) -> &Store {
-        self.catalog.store()
-    }
-
-    /// Serialized extent of the view named `name`.
-    pub fn extent_xml(&self, name: &str) -> Result<String, CatalogError> {
-        self.catalog.extent_xml(name)
-    }
-
-    /// Wire-encoded extent of the view named `name` — see
-    /// [`ViewCatalog::extent_bytes`].
-    pub fn extent_bytes(&self, name: &str) -> Result<Vec<u8>, CatalogError> {
-        self.catalog.extent_bytes(name)
-    }
-
-    /// Registered view names, in registration order.
-    pub fn view_names(&self) -> Vec<&str> {
-        self.catalog.view_names()
     }
 
     /// The service-level §1.2 oracle over the recovered state: every
@@ -1328,16 +1251,6 @@ impl DurableCatalog {
         self.rotate
     }
 
-    /// Replace the checkpoint execution mode (see [`CheckpointMode`]).
-    pub fn set_checkpoint_mode(&mut self, mode: CheckpointMode) {
-        self.mode = mode;
-    }
-
-    /// The active checkpoint execution mode.
-    pub fn checkpoint_mode(&self) -> CheckpointMode {
-        self.mode
-    }
-
     /// Pin background checkpoint jobs to `pool` instead of the shared
     /// global one (tests and benches control scheduling this way; a
     /// one-lane pool makes background checkpoints run inline —
@@ -1396,20 +1309,16 @@ impl DurableCatalog {
         self.last_ckpt_error = Some(msg);
     }
 
-    /// Checkpoint now if the WAL tail has reached the rotation bounds,
-    /// routed through the mode's checkpointer. Returns the new generation
-    /// when a rotation happened (`None` also while a background
-    /// checkpoint is still in flight — the tail keeps growing and the
-    /// next durability point retries).
+    /// Checkpoint now if the WAL tail has reached the rotation bounds.
+    /// Returns the new generation when a rotation happened (`None` also
+    /// while a background checkpoint is still in flight — the tail keeps
+    /// growing and the next durability point retries).
     pub(crate) fn maybe_rotate(&mut self) -> Result<Option<u64>, DurabilityError> {
         self.settle_pending(false);
         if !self.rotate.reached(self.wal.records(), self.wal.bytes()) {
             return Ok(None);
         }
-        match self.mode {
-            CheckpointMode::StopTheWorld => Ok(Some(self.snapshot()?)),
-            CheckpointMode::Background => self.checkpoint(),
-        }
+        self.checkpoint()
     }
 
     /// The non-stalling checkpointer: seal the current generation, open
@@ -1490,23 +1399,6 @@ impl DurableCatalog {
         Ok(Some(new))
     }
 
-    /// Open a journaled ingestion session: every coalesced chunk a flush
-    /// applies is appended and synced first, making
-    /// [`CatalogSession::commit`] the durability boundary.
-    ///
-    /// The borrowed session journals directly (its fsyncs are per-chunk,
-    /// not group-coalesced, and invisible to
-    /// [`DurableCatalog::wal_sync_stats`]) and cannot checkpoint while it
-    /// holds the log — the [`RotatePolicy`] is instead enforced *here*,
-    /// at the session boundary, so session-driven ingestion re-bounds the
-    /// tail every time a session is opened. Multi-writer services should
-    /// prefer [`DurableCatalog::into_hub`], which rotates at every
-    /// durability point.
-    pub fn session(&mut self, config: SessionConfig) -> CatalogSession<'_> {
-        let _ = self.maybe_rotate();
-        self.catalog.session_journaled(config, &mut self.wal)
-    }
-
     /// Rotate to a new checkpoint generation **synchronously**: write a
     /// fresh snapshot atomically, start an empty WAL, and prune
     /// generations older than the previous snapshot (kept as a
@@ -1568,7 +1460,7 @@ impl Drop for DurableCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IngestError, UpdateOp};
+    use crate::{HubConfig, HubInner, IngestError, UpdateOp};
     use xquery_lang::InsertPosition;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1608,7 +1500,7 @@ mod tests {
         drop(cat);
         let cat = DurableCatalog::open(&dir).unwrap();
         assert!(!cat.recovery().fresh, "generation 0 snapshot was written");
-        assert_eq!(cat.view_names().len(), 0);
+        assert_eq!(cat.catalog().view_names().len(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1623,16 +1515,16 @@ mod tests {
             let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(i))).unwrap();
         }
         assert_eq!(cat.wal_records(), 3);
-        let want_titles = cat.extent_xml("titles").unwrap();
-        let want_y = cat.extent_xml("y1994").unwrap();
+        let want_titles = cat.catalog().extent_xml("titles").unwrap();
+        let want_y = cat.catalog().extent_xml("y1994").unwrap();
         drop(cat);
 
         let cat = DurableCatalog::open(&dir).unwrap();
         let r = cat.recovery();
         assert_eq!((r.replayed_batches, r.replayed_ops, r.snapshot_views), (3, 3, 2));
         assert_eq!(r.discarded_bytes, 0);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want_titles);
-        assert_eq!(cat.extent_xml("y1994").unwrap(), want_y);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want_titles);
+        assert_eq!(cat.catalog().extent_xml("y1994").unwrap(), want_y);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1649,13 +1541,13 @@ mod tests {
         assert_eq!(new, gen_before + 1);
         assert_eq!(cat.wal_records(), 0, "rotation starts an empty log");
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(1))).unwrap();
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
 
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, new);
         assert_eq!(cat.recovery().replayed_batches, 1, "only the tail after the checkpoint");
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         // Generations older than the previous one are pruned.
         let old: Vec<u64> =
@@ -1671,7 +1563,7 @@ mod tests {
         cat.load_doc("bib.xml", BIB).unwrap();
         cat.register("titles", TITLES).unwrap();
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(0))).unwrap();
-        let after_one = cat.extent_xml("titles").unwrap();
+        let after_one = cat.catalog().extent_xml("titles").unwrap();
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(1))).unwrap();
         let wal = wal_path(&dir, cat.generation());
         drop(cat);
@@ -1686,7 +1578,7 @@ mod tests {
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().replayed_batches, 1);
         assert_eq!(cat.recovery().discarded_bytes, 3);
-        assert_eq!(cat.extent_xml("titles").unwrap(), after_one);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), after_one);
         cat.verify_all().unwrap();
         // The truncated log keeps accepting appends.
         let mut cat = cat;
@@ -1703,7 +1595,7 @@ mod tests {
         cat.register("titles", TITLES).unwrap();
         let prev = cat.generation();
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(0))).unwrap();
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         let newest = cat.snapshot().unwrap();
         drop(cat);
 
@@ -1718,7 +1610,7 @@ mod tests {
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, prev);
         assert_eq!(cat.recovery().replayed_batches, 1);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1776,11 +1668,11 @@ mod tests {
         assert!(cat.apply_batch(&UpdateBatch::new().with(bad)).is_err());
         assert_eq!(cat.wal_records(), records_before, "failed batch not journaled");
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(0))).unwrap();
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().replayed_batches, 1);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1806,12 +1698,12 @@ mod tests {
             assert!(cat.wal_records() < 3, "the settled tail never outlives the bound");
         }
         assert!(cat.generation() > gen0, "commits crossed the bound and rotated");
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
         // Recovery replays only the short post-rotation tail.
         let cat = DurableCatalog::open(&dir).unwrap();
         assert!(cat.recovery().replayed_batches < 3);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1894,7 +1786,6 @@ mod tests {
         cat.register("titles", TITLES).unwrap();
         let (pool, release) = blocked_pool();
         cat.set_checkpoint_pool(pool);
-        assert_eq!(cat.checkpoint_mode(), CheckpointMode::Background);
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(0))).unwrap();
 
         let sealed_gen = cat.generation();
@@ -1915,14 +1806,14 @@ mod tests {
         cat.settle_checkpoint();
         assert_eq!(cat.snapshot_generation(), new);
         assert_eq!(cat.last_checkpoint_error(), None);
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
 
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, new);
         assert_eq!(cat.recovery().replayed_batches, 3, "only the post-rotation tail");
         assert_eq!(cat.recovery().chained_segments, 0);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1943,7 +1834,7 @@ mod tests {
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(1))).unwrap();
         let _ = cat.checkpoint().unwrap().expect("rotation starts");
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(2))).unwrap();
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
 
         // "Crash" image: copy the directory while the snapshot job is
         // still parked — sealed wal + active wal, no new snapshot.
@@ -1960,7 +1851,7 @@ mod tests {
         let r = cat.recovery();
         assert_eq!(r.chained_segments, 1, "the sealed generation was chain-replayed");
         assert_eq!(r.replayed_batches, 3, "both segments' records");
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&img).unwrap();
@@ -1982,7 +1873,7 @@ mod tests {
         assert_eq!(cat.snapshot_generation(), newest);
         // Commits land in the new generation after the checkpoint…
         let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(1))).unwrap();
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
 
         // …then its snapshot rots. The sealed predecessor log is still on
@@ -1997,7 +1888,7 @@ mod tests {
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, newest - 1);
         assert_eq!(cat.recovery().chained_segments, 1);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2049,23 +1940,16 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Stop-the-world mode keeps the old synchronous semantics: rotation
-    /// returns with the snapshot already durable, nothing in flight.
-    #[test]
-    fn stop_the_world_mode_checkpoints_inline() {
-        let dir = temp_dir("stw");
-        let mut cat = DurableCatalog::open(&dir).unwrap();
-        cat.load_doc("bib.xml", BIB).unwrap();
-        cat.register("titles", TITLES).unwrap();
-        cat.set_checkpoint_mode(CheckpointMode::StopTheWorld);
-        cat.set_rotate_policy(RotatePolicy::records(2));
-        for i in 0..5 {
-            let _ = cat.apply_batch(&UpdateBatch::new().with(insert_op(i))).unwrap();
-            assert!(!cat.checkpoint_in_flight());
-            assert_eq!(cat.snapshot_generation(), cat.generation());
-        }
-        cat.verify_all().unwrap();
-        fs::remove_dir_all(&dir).unwrap();
+    /// A hub over a durable catalog whose background drain never fires
+    /// before `commit` (the window is far longer than any test), so every
+    /// chunk comes from the committing session's own inline drain.
+    fn manual_hub(cat: DurableCatalog, window_ops: usize) -> crate::IngestHub {
+        cat.into_hub(HubConfig {
+            queue_capacity: 8,
+            window_ops,
+            window_ms: 60_000,
+            ..HubConfig::default()
+        })
     }
 
     #[test]
@@ -2074,20 +1958,23 @@ mod tests {
         let mut cat = DurableCatalog::open(&dir).unwrap();
         cat.load_doc("bib.xml", BIB).unwrap();
         cat.register("titles", TITLES).unwrap();
-        let mut session = cat.session(SessionConfig { queue_capacity: 8, window_ops: 4 });
+        let hub = manual_hub(cat, 4);
+        let session = hub.handle();
         for i in 0..6 {
             session.try_submit(UpdateBatch::new().with(insert_op(i))).unwrap();
         }
         let receipt = session.commit().unwrap();
         assert_eq!(receipt.batches_submitted, 6);
-        assert!(receipt.batches_applied < 6, "windows coalesced");
+        assert_eq!(receipt.batches_applied, 2, "6 one-op submissions over a 4-op window");
+        drop(session);
+        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
         // The WAL holds the *applied* chunks, not the submissions.
         assert_eq!(cat.wal_records(), receipt.batches_applied);
-        let want = cat.extent_xml("titles").unwrap();
+        let want = cat.catalog().extent_xml("titles").unwrap();
         drop(cat);
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().replayed_batches, 2);
-        assert_eq!(cat.extent_xml("titles").unwrap(), want);
+        assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2098,15 +1985,17 @@ mod tests {
         let mut cat = DurableCatalog::open(&dir).unwrap();
         cat.load_doc("bib.xml", BIB).unwrap();
         cat.register("titles", TITLES).unwrap();
-        let mut session = cat.session(SessionConfig { queue_capacity: 8, window_ops: 16 });
+        let hub = manual_hub(cat, 16);
+        let session = hub.handle();
         let bad = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, "<unclosed").unwrap();
         session.try_submit(UpdateBatch::new().with(insert_op(0))).unwrap();
         session.try_submit(UpdateBatch::new().with(bad)).unwrap();
         let err = session.commit().unwrap_err();
         assert!(matches!(err, IngestError::Catalog(_)));
         assert_eq!(session.queued_batches(), 1, "failing chunk requeued");
-        session.discard_queued();
+        assert_eq!(session.discard_queued().len(), 1);
         drop(session);
+        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
         assert_eq!(cat.wal_records(), 0, "failed chunk rolled back out of the log");
         cat.verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();

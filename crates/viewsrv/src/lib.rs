@@ -1,14 +1,15 @@
 //! # viewsrv — multi-view catalog with shared validation and parallel maintenance
 //!
-//! The paper's [`vpa_core::ViewManager`] maintains *one* materialized view
-//! over sources it owns. A production service maintains **many** views over
-//! **shared** documents, and the paper's own relevancy check (the SAPT,
-//! Fig 5.2) is exactly the lever to do so efficiently: an incoming update
-//! batch is resolved and classified **once**, then propagated only to the
-//! views it can actually affect.
+//! The paper maintains *one* materialized view over its sources; a
+//! production service maintains **many** views over **shared** documents,
+//! and the paper's own relevancy check (the SAPT, Fig 5.2) is exactly the
+//! lever to do so efficiently: an incoming update batch is resolved and
+//! classified **once**, then propagated only to the views it can actually
+//! affect.
 //!
 //! [`ViewCatalog`] owns one [`Store`] plus N registered [`MaintView`]s and
-//! runs the VPA phases service-wide:
+//! runs the VPA phases service-wide. It is the only place the rounds are
+//! sequenced: a single view is a one-view catalog.
 //!
 //! 1. **Validate (shared)** — each resolved update is routed through a
 //!    document→views *relevancy index* built from the registered SAPTs, so
@@ -43,35 +44,32 @@
 //!
 //! Updates arrive as **typed** [`UpdateBatch`]es ([`ViewCatalog::apply_batch`]
 //! returns a structured [`BatchReceipt`]); the [`session`] module adds the
-//! queued ingestion front ([`CatalogSession`]) with a bounded queue,
-//! coalescing window, and explicit backpressure. The [`epoch`] module is
-//! the matching **read** front: the hub publishes a frozen
-//! `(Store, extents)` [`Epoch`] after every applied round, and any number
-//! of [`ReadHandle`]s serve queries from it with zero locks and zero
-//! coordination with writers.
+//! queued ingestion front ([`IngestHub`] and its [`SessionHandle`]s) with
+//! bounded per-writer queues, a coalescing window, and explicit
+//! backpressure. The [`epoch`] module is the matching **read** front: the
+//! hub publishes a frozen `(Store, extents)` [`Epoch`] after every applied
+//! round, and any number of [`ReadHandle`]s serve queries from it with
+//! zero locks and zero coordination with writers.
 
 pub mod durability;
 pub mod epoch;
 pub mod session;
 
 pub use durability::{
-    CheckpointMode, DurabilityError, DurableCatalog, RecoveryReport, RotatePolicy, Snapshot,
-    SnapshotView, Wal, WalSyncStats,
+    DurabilityError, DurableCatalog, RecoveryReport, RotatePolicy, Snapshot, SnapshotView, Wal,
+    WalSyncStats,
 };
 pub use epoch::{DurableMarks, Epoch, EpochPublisher, ReadHandle};
 use flexkey::FlexKey;
-pub use session::{
-    CatalogSession, HubConfig, HubInner, IngestError, IngestHub, SessionConfig, SessionHandle,
-    SessionReceipt,
-};
+pub use session::{HubConfig, HubInner, IngestError, IngestHub, SessionHandle, SessionReceipt};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vpa_core::manager::{MaintError, MaintStats};
 use vpa_core::update::{self, ResolvedUpdate, UpdateError, UpdateKind};
 use vpa_core::validate::Relevancy;
 use vpa_core::view::{text_node_key, widen_modify, MaintView};
+use vpa_core::{MaintError, MaintStats};
 use xat::exec::ExecStats;
 use xat::VNode;
 use xmlstore::{Frag, Store};
@@ -193,7 +191,7 @@ pub struct BatchReceipt {
     /// Update primitives the ops resolved to (one op can bind many nodes).
     pub resolved: usize,
     /// Submitted batches coalesced into this application (1 for a direct
-    /// [`ViewCatalog::apply_batch`]; ≥ 1 through a [`CatalogSession`]).
+    /// [`ViewCatalog::apply_batch`]; ≥ 1 through an [`IngestHub`]).
     pub coalesced_from: usize,
     /// Names of the views the batch was routed to (relevancy-touched), in
     /// registration order.
@@ -543,14 +541,6 @@ impl ViewCatalog {
         })
     }
 
-    /// Maintain every view for a batch of already-resolved updates.
-    pub fn apply_resolved(
-        &mut self,
-        updates: Vec<ResolvedUpdate>,
-    ) -> Result<ServiceStats, CatalogError> {
-        self.apply_traced(updates).map(|(stats, _)| stats)
-    }
-
     /// The routed maintenance pipeline, additionally reporting which slots
     /// the batch touched (for receipts).
     fn apply_traced(
@@ -592,8 +582,8 @@ impl ViewCatalog {
         let mut touched: BTreeSet<usize> =
             routed.iter().flat_map(|(_, rel)| rel.iter().map(|(i, _)| *i)).collect();
 
-        // ── Per document: deletes → modifies → inserts, mirroring the
-        // single-view manager's batching discipline (§5.3).
+        // ── Per document: deletes → modifies → inserts, the paper's
+        // batching discipline (§5.3).
         let docs: BTreeSet<String> = routed.iter().map(|(u, _)| u.doc().to_string()).collect();
         for doc in docs {
             let mut deletes: Vec<(FlexKey, Vec<usize>)> = Vec::new();

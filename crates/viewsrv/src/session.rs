@@ -1,4 +1,4 @@
-//! The queued ingestion front: [`CatalogSession`].
+//! The queued ingestion front: [`IngestHub`] and its [`SessionHandle`]s.
 //!
 //! `ViewCatalog::apply_batch` is synchronous — one caller, one batch, one
 //! routed refresh. A production ingestion path instead has **many writers
@@ -7,55 +7,34 @@
 //! relevancy routing) and one parallel per-view refresh, so merging K tiny
 //! submissions into one application amortizes that fixed cost K-fold.
 //!
-//! A [`CatalogSession`] borrows the catalog exclusively and adds exactly
-//! that front:
+//! The hub owns the catalog and gives each writer a `Send` handle with
+//! exactly that front:
 //!
-//! * **Bounded queue** — [`CatalogSession::try_submit`] enqueues a typed
-//!   [`UpdateBatch`] or returns [`IngestError::QueueFull`] immediately.
-//!   Backpressure is explicit and observable: the session never blocks and
-//!   never buffers beyond `queue_capacity`, the producer decides whether to
-//!   retry, flush, or shed load.
-//! * **Coalescing window** — [`CatalogSession::flush`] drains the queue,
-//!   greedily merging consecutive submissions into chunks of at most
-//!   `window_ops` ops (a submission is never split), and applies each chunk
-//!   through the catalog's once-per-batch validation and parallel
-//!   propagate/apply rounds.
+//! * **Bounded queue** — [`SessionHandle::try_submit`] enqueues a typed
+//!   [`UpdateBatch`] or returns [`IngestError::QueueFull`] immediately,
+//!   handing the batch back. Backpressure is explicit and observable: a
+//!   handle never blocks and never buffers beyond
+//!   [`HubConfig::queue_capacity`]; the producer decides whether to
+//!   retry, commit, or shed load.
+//! * **Coalescing window** — drain rounds merge consecutive submissions
+//!   of one session into chunks of at most [`HubConfig::window_ops`] ops
+//!   (a submission is never split) and apply each chunk through the
+//!   catalog's once-per-batch validation and parallel propagate/apply
+//!   rounds; on a [`DurableCatalog`] each chunk is journaled
+//!   append-then-apply and acknowledged after its group fsync.
 //! * **Receipts** — every applied chunk yields a [`BatchReceipt`];
-//!   [`CatalogSession::commit`] flushes the remainder and folds all
-//!   receipts into one [`SessionReceipt`].
+//!   [`SessionHandle::commit`] drains the session's queue and folds its
+//!   receipts into one [`SessionReceipt`]. A chunk that fails to apply is
+//!   rolled back (out of the WAL too) and put back at the queue front;
+//!   `commit` returns the error.
 //!
 //! Coalescing changes *when* ops are resolved: every op of a merged chunk
 //! binds against the store state before the chunk, not before its original
 //! submission. Submissions whose ops target nodes created by an earlier
-//! queued submission should be separated by an explicit [`flush`]
-//! (`flush` is the sequencing boundary, exactly like a barrier in a write
-//! pipeline).
-//!
-//! ```
-//! use viewsrv::{InsertPosition, SessionConfig, UpdateBatch, UpdateOp, ViewCatalog};
-//! use xmlstore::Store;
-//!
-//! let mut store = Store::new();
-//! store.load_doc("bib.xml", "<bib><book year=\"1994\"><title>T</title></book></bib>").unwrap();
-//! let mut cat = ViewCatalog::new(store);
-//! cat.register("all", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
-//!     .unwrap();
-//!
-//! let mut session = cat.session(SessionConfig::default());
-//! for i in 0..3 {
-//!     let frag = format!("<book year=\"2001\"><title>B{i}</title></book>");
-//!     let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, &frag).unwrap();
-//!     session.try_submit(UpdateBatch::new().with(op)).unwrap();
-//! }
-//! let receipt = session.commit().unwrap();
-//! assert_eq!(receipt.batches_submitted, 3);
-//! assert_eq!(receipt.batches_applied, 1, "three submissions coalesced into one");
-//! cat.verify_all().unwrap();
-//! ```
-//!
-//! [`flush`]: CatalogSession::flush
+//! queued submission should be separated by a `commit` (the sequencing
+//! boundary, exactly like a barrier in a write pipeline).
 
-use crate::durability::{DurabilityError, DurableCatalog, GroupCommit, Wal};
+use crate::durability::{DurabilityError, DurableCatalog, GroupCommit};
 use crate::{BatchReceipt, CatalogError, ServiceStats, UpdateBatch, ViewCatalog};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -63,31 +42,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a [`CatalogSession`].
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Maximum number of queued (not yet flushed) submissions. Submitting
-    /// into a full queue fails with [`IngestError::QueueFull`] — the
-    /// session never blocks and never allocates past this bound.
-    pub queue_capacity: usize,
-    /// Coalescing window: maximum typed ops merged into one applied batch
-    /// at flush. A single submission larger than the window still applies
-    /// as one batch (submissions are never split).
-    pub window_ops: usize,
-}
-
-impl Default for SessionConfig {
-    fn default() -> SessionConfig {
-        SessionConfig { queue_capacity: 64, window_ops: 256 }
-    }
-}
-
 /// Ingestion-front failures.
 #[derive(Debug)]
 pub enum IngestError {
     /// The bounded queue is at capacity; the submission was rejected
     /// (backpressure). The rejected batch rides along so the producer can
-    /// retry it after a [`CatalogSession::flush`] without cloning.
+    /// retry it after a [`SessionHandle::commit`] without cloning.
     QueueFull {
         /// The rejected submission, handed back untouched.
         batch: UpdateBatch,
@@ -96,7 +56,7 @@ pub enum IngestError {
     },
     /// Applying a drained batch failed in the catalog.
     Catalog(CatalogError),
-    /// Journaling a drained batch failed (durable sessions only); the
+    /// Journaling a drained batch failed (durable catalogs only); the
     /// chunk was requeued and nothing was applied — or, when the failure
     /// was the shared group fsync, the chunk applied in memory but its
     /// durability is unknown (the same ambiguity a crash leaves).
@@ -112,7 +72,10 @@ impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IngestError::QueueFull { capacity, .. } => {
-                write!(f, "ingestion queue is full ({capacity} batches); flush before resubmitting")
+                write!(
+                    f,
+                    "ingestion queue is full ({capacity} batches); commit before resubmitting"
+                )
             }
             IngestError::Catalog(e) => write!(f, "{e}"),
             IngestError::Journal(e) => write!(f, "journaling the batch failed: {e}"),
@@ -153,8 +116,8 @@ impl From<xquery_lang::QueryParseError> for IngestError {
     }
 }
 
-/// Aggregate result of a whole session (all flushes up to and including
-/// [`CatalogSession::commit`]).
+/// Aggregate result of a session's chunks since its last
+/// [`SessionHandle::commit`], up to and including this one.
 #[must_use = "the session receipt reports what the whole session ingested"]
 #[derive(Clone, Debug, Default)]
 pub struct SessionReceipt {
@@ -172,24 +135,8 @@ pub struct SessionReceipt {
     pub stats: ServiceStats,
 }
 
-/// An exclusive ingestion session over a [`ViewCatalog`] — see the
-/// [module docs](self) for the queue/window/backpressure contract.
-pub struct CatalogSession<'a> {
-    catalog: &'a mut ViewCatalog,
-    /// When set, every coalesced chunk is appended and synced to this
-    /// write-ahead log *before* it is applied — the durable-session path
-    /// opened by [`crate::DurableCatalog::session`].
-    journal: Option<&'a mut Wal>,
-    config: SessionConfig,
-    queue: VecDeque<UpdateBatch>,
-    queued_ops: usize,
-    submitted: usize,
-    receipts: Vec<BatchReceipt>,
-    m: SessionMetrics,
-}
-
 /// Receipt accounting mirrored into the catalog registry (`session/*`),
-/// shared by the borrowed [`CatalogSession`] and the hub's drain rounds.
+/// recorded by the hub's drain rounds.
 struct SessionMetrics {
     /// Chunk receipts delivered.
     receipts: Arc<obs::Counter>,
@@ -197,8 +144,6 @@ struct SessionMetrics {
     chunk_coalesced: Arc<obs::Histogram>,
     /// Typed ops per applied chunk.
     chunk_ops: Arc<obs::Histogram>,
-    /// Queue-full backpressure rejections.
-    queue_full: Arc<obs::Counter>,
 }
 
 impl SessionMetrics {
@@ -207,7 +152,6 @@ impl SessionMetrics {
             receipts: reg.counter("session/receipts"),
             chunk_coalesced: reg.histogram("session/chunk_coalesced"),
             chunk_ops: reg.histogram("session/chunk_ops"),
-            queue_full: reg.counter("session/queue_full"),
         }
     }
 
@@ -218,162 +162,7 @@ impl SessionMetrics {
     }
 }
 
-impl ViewCatalog {
-    /// Open an ingestion session over this catalog. The session borrows the
-    /// catalog exclusively; drop or [`CatalogSession::commit`] it to get
-    /// the catalog back.
-    pub fn session(&mut self, config: SessionConfig) -> CatalogSession<'_> {
-        let m = SessionMetrics::new(self.metrics_registry());
-        CatalogSession {
-            catalog: self,
-            journal: None,
-            config,
-            queue: VecDeque::new(),
-            queued_ops: 0,
-            submitted: 0,
-            receipts: Vec::new(),
-            m,
-        }
-    }
-
-    /// Open a session whose flushed chunks are journaled append-then-apply
-    /// (see [`crate::DurableCatalog::session`]).
-    pub(crate) fn session_journaled<'a>(
-        &'a mut self,
-        config: SessionConfig,
-        wal: &'a mut Wal,
-    ) -> CatalogSession<'a> {
-        let mut s = self.session(config);
-        s.journal = Some(wal);
-        s
-    }
-}
-
-impl CatalogSession<'_> {
-    /// Enqueue a typed batch without applying it. Fails fast with
-    /// [`IngestError::QueueFull`] when the bounded queue is at capacity —
-    /// the rejected batch is handed back inside the error untouched (and
-    /// the queue state is unchanged), so the producer can flush and
-    /// resubmit it without cloning.
-    pub fn try_submit(&mut self, batch: UpdateBatch) -> Result<(), IngestError> {
-        if self.queue.len() >= self.config.queue_capacity {
-            self.m.queue_full.inc();
-            self.catalog
-                .metrics_registry()
-                .emit(obs::Event::new(obs::EventKind::QueueFull).detail("borrowed session"));
-            return Err(IngestError::QueueFull { batch, capacity: self.config.queue_capacity });
-        }
-        self.queued_ops += batch.len();
-        self.queue.push_back(batch);
-        self.submitted += 1;
-        Ok(())
-    }
-
-    /// Parse a script once into a typed batch and [`try_submit`] it.
-    ///
-    /// [`try_submit`]: CatalogSession::try_submit
-    pub fn try_submit_script(&mut self, script: &str) -> Result<(), IngestError> {
-        self.try_submit(UpdateBatch::from_script(script)?)
-    }
-
-    /// Submissions waiting in the queue.
-    pub fn queued_batches(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Typed ops waiting in the queue.
-    pub fn queued_ops(&self) -> usize {
-        self.queued_ops
-    }
-
-    /// The session's configuration.
-    pub fn config(&self) -> SessionConfig {
-        self.config
-    }
-
-    /// Receipts of every batch this session has applied so far (all
-    /// flushes since the last [`commit`]).
-    ///
-    /// [`commit`]: CatalogSession::commit
-    pub fn receipts(&self) -> &[BatchReceipt] {
-        &self.receipts
-    }
-
-    /// Drop every queued (not yet flushed) submission, returning them —
-    /// the recovery escape hatch after a failed [`flush`] when the caller
-    /// decides not to retry.
-    ///
-    /// [`flush`]: CatalogSession::flush
-    pub fn discard_queued(&mut self) -> Vec<UpdateBatch> {
-        self.queued_ops = 0;
-        self.queue.drain(..).collect()
-    }
-
-    /// Drain the queue: merge consecutive submissions into chunks of at
-    /// most `window_ops` ops and apply each chunk as one catalog batch
-    /// (resolved and validated once, refreshed in parallel). Returns the
-    /// receipts of the batches applied by *this* flush, in order.
-    ///
-    /// Nothing is lost on failure: a chunk whose application errors is put
-    /// back at the front of the queue (still coalesced) before the error
-    /// returns, and receipts of chunks applied earlier in the flush remain
-    /// available via [`receipts`]. Retrying without removing the failing
-    /// ops will fail again — inspect and [`discard_queued`], or fix the
-    /// store, before the next flush.
-    ///
-    /// [`receipts`]: CatalogSession::receipts
-    /// [`discard_queued`]: CatalogSession::discard_queued
-    pub fn flush(&mut self) -> Result<Vec<BatchReceipt>, IngestError> {
-        let mut flushed = Vec::new();
-        while let Some((merged, coalesced_from)) =
-            pop_chunk(&mut self.queue, &mut self.queued_ops, self.config.window_ops)
-        {
-            match self.apply_chunk(&merged) {
-                Ok(mut receipt) => {
-                    receipt.coalesced_from = coalesced_from;
-                    self.m.record_receipt(&receipt);
-                    self.receipts.push(receipt.clone());
-                    flushed.push(receipt);
-                }
-                Err(e) => {
-                    self.queued_ops += merged.len();
-                    self.queue.push_front(merged);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(flushed)
-    }
-
-    /// Apply one coalesced chunk, journaling it first when the session is
-    /// durable ([`Wal::commit_batch`] — append + sync, then apply,
-    /// rolling the record back out of the log if application fails).
-    fn apply_chunk(&mut self, merged: &UpdateBatch) -> Result<BatchReceipt, IngestError> {
-        let Some(wal) = self.journal.as_deref_mut().filter(|_| !merged.is_empty()) else {
-            return Ok(self.catalog.apply_batch(merged)?);
-        };
-        wal.commit_batch(self.catalog, merged).map_err(|e| match e {
-            crate::durability::CommitError::Journal(io) => IngestError::Journal(io),
-            crate::durability::CommitError::Catalog(c) => IngestError::Catalog(c),
-        })
-    }
-
-    /// Flush the remaining queue and fold every receipt accumulated since
-    /// the last commit into one aggregate [`SessionReceipt`], draining
-    /// them. On error the session stays usable: the failing chunk is back
-    /// in the queue and earlier receipts are still held (see
-    /// [`flush`](CatalogSession::flush)), so the caller can recover and
-    /// commit again.
-    pub fn commit(&mut self) -> Result<SessionReceipt, IngestError> {
-        self.flush()?;
-        let receipt = fold_receipts(self.submitted, self.receipts.drain(..));
-        self.submitted = 0;
-        Ok(receipt)
-    }
-}
-
-/// Fold per-chunk receipts into one [`SessionReceipt`] (shared by the
-/// borrowed session and the hub handles).
+/// Fold per-chunk receipts into one [`SessionReceipt`].
 fn fold_receipts(
     submitted: usize,
     receipts: impl IntoIterator<Item = BatchReceipt>,
@@ -569,7 +358,7 @@ struct HubMetrics {
     /// Sessions visited per background round — the fairness signal: a
     /// healthy hub shows this tracking the open-session gauge.
     round_sessions: Arc<obs::Histogram>,
-    /// Receipt accounting shared with the borrowed-session path.
+    /// Receipt accounting (`session/*`).
     session: SessionMetrics,
 }
 
@@ -1102,8 +891,6 @@ fn drain_loop(shared: &HubShared) {
 /// Pop one coalesced chunk off a session queue: the front submission
 /// plus as many successors as fit in `window_ops` (a submission is never
 /// split). Returns the merged chunk and how many submissions it folds.
-/// Shared by [`CatalogSession::flush`] and the hub's drain rounds so the
-/// two coalescing paths cannot diverge.
 fn pop_chunk(
     queue: &mut VecDeque<UpdateBatch>,
     queued_ops: &mut usize,

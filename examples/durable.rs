@@ -5,7 +5,7 @@
 //! cargo run --release --example durable
 //! ```
 
-use xqview::viewsrv::{DurableCatalog, SessionConfig};
+use xqview::viewsrv::{DurableCatalog, HubConfig, HubInner};
 use xqview::xquery_lang::InsertPosition;
 use xqview::{UpdateBatch, UpdateOp};
 
@@ -13,7 +13,8 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("xqview-durable-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ── Process 1: build a catalog, ingest through a journaled session.
+    // ── Process 1: build a catalog, ingest through a hub session (every
+    // coalesced chunk is journaled before it applies).
     {
         let mut cat = DurableCatalog::open(&dir).expect("open catalog dir");
         cat.load_doc(
@@ -27,7 +28,8 @@ fn main() {
         )
         .expect("register");
 
-        let mut session = cat.session(SessionConfig { queue_capacity: 16, window_ops: 4 });
+        let hub = cat.into_hub(HubConfig { window_ops: 4, ..HubConfig::default() });
+        let session = hub.handle();
         for i in 0..6 {
             let frag = format!(r#"<book year="200{i}"><title>Volume {i}</title></book>"#);
             let op =
@@ -35,6 +37,8 @@ fn main() {
             session.try_submit(UpdateBatch::new().with(op)).expect("queue has room");
         }
         let receipt = session.commit().expect("durable commit");
+        drop(session);
+        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
         println!(
             "committed {} submissions as {} journaled chunk(s); WAL holds {} record(s), {} bytes",
             receipt.batches_submitted,
@@ -57,7 +61,7 @@ fn main() {
     );
     cat.verify_all().expect("every extent equals its recomputation");
     println!("verify_all: ok");
-    println!("titles = {}", cat.extent_xml("titles").expect("view exists"));
+    println!("titles = {}", cat.catalog().extent_xml("titles").expect("view exists"));
 
     // ── Checkpoint: rotate the generation, emptying the log.
     let mut cat = cat;

@@ -1,13 +1,13 @@
-//! The typed update API and the batched ingestion front: many writers
-//! streaming small typed batches into a bounded session queue, coalesced
-//! into windowed applications with explicit backpressure and per-batch
-//! receipts.
+//! The typed update API and the batched ingestion front: a writer
+//! streaming small typed batches into its bounded hub session queue,
+//! coalesced into windowed applications with explicit backpressure and
+//! per-commit receipts.
 //!
 //! ```sh
 //! cargo run --release --example ingest
 //! ```
 
-use xqview::viewsrv::{IngestError, SessionConfig, UpdateBatch, UpdateOp, ViewCatalog};
+use xqview::viewsrv::{HubConfig, IngestError, SessionReceipt, UpdateBatch, UpdateOp, ViewCatalog};
 use xqview::xquery_lang::{CmpOp, InsertPosition};
 use xqview::{datagen, Store};
 
@@ -60,42 +60,46 @@ fn main() {
         .collect();
 
     // A small queue + window keeps memory bounded and shows backpressure:
-    // when the queue fills, the producer flushes and retries.
-    let mut session = cat.session(SessionConfig { queue_capacity: 4, window_ops: 8 });
+    // when the queue fills, the producer commits and retries. The time
+    // window is long so this one-writer demo fills its queue before the
+    // background drain would run.
+    let hub = cat.into_hub(HubConfig {
+        queue_capacity: 4,
+        window_ops: 8,
+        window_ms: 60_000,
+        ..HubConfig::default()
+    });
+    let writer = hub.handle();
+    let report = |r: SessionReceipt| {
+        println!(
+            "  {} submissions coalesced into {} applications ({} ops, {} resolved) -> views \
+             {:?}  validate {:>7.3}ms  propagate {:>7.3}ms  apply {:>7.3}ms",
+            r.batches_submitted,
+            r.batches_applied,
+            r.ops,
+            r.resolved,
+            r.views_touched,
+            r.stats.validate.as_secs_f64() * 1e3,
+            r.stats.propagate.as_secs_f64() * 1e3,
+            r.stats.apply.as_secs_f64() * 1e3,
+        );
+    };
     for batch in writer_batches {
-        match session.try_submit(batch) {
+        match writer.try_submit(batch) {
             Ok(()) => {}
             Err(IngestError::QueueFull { batch, capacity }) => {
-                println!("queue full at {capacity}; flushing…");
-                for r in session.flush().unwrap() {
-                    println!(
-                        "  applied {:>2} ops (coalesced from {}) -> views {:?}  \
-                         validate {:>7.3}ms  propagate {:>7.3}ms  apply {:>7.3}ms",
-                        r.ops,
-                        r.coalesced_from,
-                        r.views_touched,
-                        r.stats.validate.as_secs_f64() * 1e3,
-                        r.stats.propagate.as_secs_f64() * 1e3,
-                        r.stats.apply.as_secs_f64() * 1e3,
-                    );
-                }
-                session.try_submit(batch).unwrap();
+                println!("queue full at {capacity}; committing…");
+                report(writer.commit().unwrap());
+                writer.try_submit(batch).unwrap();
             }
             Err(e) => panic!("{e}"),
         }
     }
-    let receipt = session.commit().unwrap();
+    println!("final commit:");
+    report(writer.commit().unwrap());
+    drop(writer);
 
-    println!(
-        "\nsession: {} submissions coalesced into {} applications ({} ops, {} resolved)",
-        receipt.batches_submitted, receipt.batches_applied, receipt.ops, receipt.resolved
-    );
-    println!("views touched: {:?}", receipt.views_touched);
-    println!(
-        "per-phase wall: validate {:?}  propagate {:?}  apply {:?}",
-        receipt.stats.validate, receipt.stats.propagate, receipt.stats.apply
-    );
-
-    cat.verify_all().expect("every extent equals its recomputation");
+    let inner = hub.shutdown();
+    inner.catalog().verify_all().expect("every extent equals its recomputation");
     println!("verify_all: every extent equals its from-scratch recomputation.");
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use xqview::xmlstore::InsertPos;
-use xqview::{Frag, Store, ViewManager};
+use xqview::{Frag, Store, ViewCatalog};
 
 fn main() {
     // --- FlexKeys: identity + order + no relabeling (§3.3.1) -------------
@@ -48,8 +48,9 @@ fn main() {
     prices.push_str("<entry><price>65.95</price><b-title>TCP/IP Illustrated</b-title></entry>");
     prices.push_str("</prices>");
     store.load_doc("prices.xml", &prices).unwrap();
-    let view = ViewManager::new(
-        store,
+    let mut cat = ViewCatalog::new(store);
+    cat.register(
+        "v",
         r#"<result>{
             for $y in distinct-values(doc("bib.xml")/bib/book/@year)
             order by $y
@@ -62,9 +63,10 @@ fn main() {
     )
     .unwrap();
     println!("view extent with semantic identifiers:");
-    print_ids(&view.extent().roots, 1);
+    print_ids(&cat.view("v").unwrap().extent().roots, 1);
     println!("\nconstructed ids encode lineage (year values, source keys);");
     println!("base ids are FlexKeys — both reproducible across propagations.");
+    cat.verify_all().unwrap();
 }
 
 fn print_ids(nodes: &[xqview::xat::VNode], depth: usize) {

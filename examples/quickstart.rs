@@ -8,7 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use xqview::{Store, ViewManager};
+use xqview::{Store, ViewCatalog};
 
 const BIB: &str = r#"<bib>
     <book year="1994"><title>TCP/IP Illustrated</title>
@@ -58,21 +58,23 @@ fn main() {
     store.load_doc("bib.xml", BIB).unwrap();
     store.load_doc("prices.xml", PRICES).unwrap();
 
-    let mut view = ViewManager::new(store, VIEW).unwrap();
-    println!("== view plan (XAT algebra, Fig 2.2 shape) ==\n{}", view.plan());
-    println!("== initial extent (Figure 1.2(b)) ==\n{}\n", pretty(&view.extent_xml()));
+    // One view is a one-view catalog.
+    let mut cat = ViewCatalog::new(store);
+    cat.register("v", VIEW).unwrap();
+    println!("== view plan (XAT algebra, Fig 2.2 shape) ==\n{}", cat.view("v").unwrap().plan());
+    println!("== initial extent (Figure 1.2(b)) ==\n{}\n", pretty(&cat.extent_xml("v").unwrap()));
 
-    let stats = view.apply_update_script(UPDATES).unwrap();
-    println!("== refreshed extent (Figure 1.4) ==\n{}\n", pretty(&view.extent_xml()));
+    let stats = cat.apply_update_script(UPDATES).unwrap();
+    println!("== refreshed extent (Figure 1.4) ==\n{}\n", pretty(&cat.extent_xml("v").unwrap()));
     println!("== maintenance statistics ==");
-    println!("  relevant updates : {}", stats.relevant);
+    println!("  relevant updates : {}", stats.views_routed);
     println!("  validate         : {:?}", stats.validate);
     println!("  propagate        : {:?}", stats.propagate);
     println!("  apply            : {:?}", stats.apply);
     println!("  fast modifies    : {}", stats.fast_modifies);
 
     // The paper's correctness criterion (§1.2).
-    assert_eq!(view.extent_xml(), view.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
     println!("\nrefreshed view == recomputed view  ✓");
 }
 

@@ -8,7 +8,7 @@
 //! cargo run --example stream_fusion
 //! ```
 
-use xqview::{Store, ViewManager};
+use xqview::{Store, ViewCatalog};
 
 const VIEW: &str = r#"<dashboard>{
   for $c in distinct-values(doc("feed.xml")/feed/reading/@city)
@@ -24,8 +24,9 @@ const VIEW: &str = r#"<dashboard>{
 fn main() {
     let mut store = Store::new();
     store.load_doc("feed.xml", "<feed></feed>").unwrap();
-    let mut view = ViewManager::new(store, VIEW).unwrap();
-    println!("empty feed  → {}\n", view.extent_xml());
+    let mut cat = ViewCatalog::new(store);
+    cat.register("v", VIEW).unwrap();
+    println!("empty feed  → {}\n", cat.extent_xml("v").unwrap());
 
     // Stream units arrive one at a time; each is one insert update that the
     // view absorbs incrementally.
@@ -42,19 +43,19 @@ fn main() {
             r#"for $f in document("feed.xml")/feed update $f
                insert <reading city="{city}"><temp>{temp}</temp></reading> into $f"#
         );
-        let _ = view.apply_update_script(&unit).unwrap();
-        println!("unit {i}: {city} {temp}°\n  → {}", view.extent_xml());
-        assert_eq!(view.extent_xml(), view.recompute_xml().unwrap());
+        let _ = cat.apply_update_script(&unit).unwrap();
+        println!("unit {i}: {city} {temp}°\n  → {}", cat.extent_xml("v").unwrap());
+        cat.verify_all().unwrap();
     }
 
     // Late correction: a reading is retracted.
-    let _ = view
+    let _ = cat
         .apply_update_script(
             r#"for $r in document("feed.xml")/feed/reading where $r/temp = "17"
            update $r delete $r"#,
         )
         .unwrap();
-    println!("\nretract Albany 17°\n  → {}", view.extent_xml());
-    assert_eq!(view.extent_xml(), view.recompute_xml().unwrap());
+    println!("\nretract Albany 17°\n  → {}", cat.extent_xml("v").unwrap());
+    cat.verify_all().unwrap();
     println!("\nall incremental states matched recomputation  ✓");
 }

@@ -8,8 +8,10 @@
 //!
 //! ## Quick start
 //!
+//! A single materialized view is a one-view [`ViewCatalog`]:
+//!
 //! ```
-//! use xqview::{Store, ViewManager};
+//! use xqview::{Store, ViewCatalog};
 //!
 //! let mut store = Store::new();
 //! store.load_doc("bib.xml", r#"<bib>
@@ -17,21 +19,23 @@
 //!     <book year="2000"><title>Data on the Web</title></book>
 //! </bib>"#).unwrap();
 //!
-//! let mut view = ViewManager::new(store, r#"<result>{
+//! let mut cat = ViewCatalog::new(store);
+//! cat.register("v", r#"<result>{
 //!     for $b in doc("bib.xml")/bib/book
 //!     where $b/@year = "1994"
 //!     return $b/title
 //! }</result>"#).unwrap();
-//! assert_eq!(view.extent_xml(),
+//! assert_eq!(cat.extent_xml("v").unwrap(),
 //!            "<result><title>TCP/IP Illustrated</title></result>");
 //!
 //! // Maintain incrementally on a source update:
-//! view.apply_update_script(r#"
+//! cat.apply_update_script(r#"
 //!     for $r in document("bib.xml")/bib update $r
 //!     insert <book year="1994"><title>Advanced Programming</title></book> into $r
 //! "#).unwrap();
-//! assert!(view.extent_xml().contains("Advanced Programming"));
-//! assert_eq!(view.extent_xml(), view.recompute_xml().unwrap());
+//! assert!(cat.extent_xml("v").unwrap().contains("Advanced Programming"));
+//! // The paper's correctness criterion (§1.2): refreshed == recomputed.
+//! cat.verify_all().unwrap();
 //! ```
 //!
 //! ## Crate map
@@ -77,12 +81,13 @@
 //! Updates are first-class values, not strings: an [`UpdateOp`] is a typed
 //! insert/delete/modify (built programmatically or parsed once from script
 //! text), an [`UpdateBatch`] is the unit the stack validates once and
-//! routes, and a [`CatalogSession`] queues batches behind a bounded queue
-//! with a coalescing window and explicit backpressure, emitting structured
-//! [`BatchReceipt`]s per applied window:
+//! routes, and an [`IngestHub`] session queues batches behind a bounded
+//! queue with a coalescing window and explicit backpressure, emitting
+//! structured [`BatchReceipt`]s per applied window, folded into a
+//! [`SessionReceipt`] at `commit`:
 //!
 //! ```
-//! use xqview::{CatalogSession, SessionConfig, Store, UpdateBatch, UpdateOp, ViewCatalog};
+//! use xqview::{HubConfig, Store, UpdateBatch, UpdateOp, ViewCatalog};
 //! use xqview::xquery_lang::InsertPosition;
 //!
 //! let mut store = Store::new();
@@ -91,21 +96,23 @@
 //! cat.register("titles", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
 //!     .unwrap();
 //!
-//! let mut session = cat.session(SessionConfig::default());
+//! let hub = cat.into_hub(HubConfig::default());
+//! let writer = hub.handle();
 //! let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into,
 //!                           r#"<book year="2001"><title>U</title></book>"#).unwrap();
-//! session.try_submit(UpdateBatch::new().with(op)).unwrap();
-//! let receipt = session.commit().unwrap();
+//! writer.try_submit(UpdateBatch::new().with(op)).unwrap();
+//! let receipt = writer.commit().unwrap();
 //! assert_eq!(receipt.views_touched, vec!["titles"]);
-//! cat.verify_all().unwrap();
+//! drop(writer);
+//! hub.shutdown().catalog().verify_all().unwrap();
 //! ```
 //!
 //! ## Durability: views survive the process
 //!
 //! A [`DurableCatalog`] is a [`ViewCatalog`] whose every mutation flows
-//! through one journaled commit point: data batches are appended and
-//! synced to a write-ahead log of [`wire`]-framed [`UpdateBatch`] records
-//! *before* they apply (and through a journaled [`CatalogSession`],
+//! through one journaled commit point: data batches are appended to a
+//! write-ahead log of [`wire`]-framed [`UpdateBatch`] records *before*
+//! they apply and acknowledged only once synced (through a hub session,
 //! `commit()` is the durability boundary), while administrative mutations
 //! checkpoint a full [`viewsrv::Snapshot`] — store, view definitions, and
 //! materialized extents. `DurableCatalog::open` recovers by loading the
@@ -147,14 +154,13 @@
 //! concurrent `commit()`s share their WAL fsyncs through a
 //! leader/follower **group commit** ([`WalSyncStats`] counts the
 //! sharing). The WAL also checkpoints itself once its tail crosses the
-//! [`RotatePolicy`] bounds, keeping restart replay bounded — and in the
-//! default [`CheckpointMode::Background`] that rotation does **not**
-//! stop the world: capture freezes the store and extents by
-//! copy-on-write handle (O(documents + views)), a seal record closes the
-//! old WAL generation, commits continue into the next log at memory
-//! speed, and a detached [`exec`] job encodes and fsyncs the snapshot
-//! (the `fig_checkpoint` bench measures commit latency under forced
-//! rotation, background vs stop-the-world). Drain rounds are panic-safe:
+//! [`RotatePolicy`] bounds, keeping restart replay bounded — and that
+//! rotation does **not** stop the world: capture freezes the store and
+//! extents by copy-on-write handle (O(documents + views)), a seal record
+//! closes the old WAL generation, commits continue into the next log at
+//! memory speed, and a detached [`exec`] job encodes and fsyncs the
+//! snapshot (the `fig_checkpoint` bench measures commit latency under
+//! forced rotation). Drain rounds are panic-safe:
 //! a round that unwinds mid-apply hands the catalog back and surfaces a
 //! sticky error instead of deadlocking `shutdown`.
 //!
@@ -234,12 +240,11 @@ pub use xquery_lang;
 pub use datagen;
 pub use flexkey::{FlexKey, OrdKey, SemId};
 pub use viewsrv::{
-    BatchReceipt, CatalogError, CatalogSession, CheckpointMode, DurabilityError, DurableCatalog,
-    DurableMarks, Epoch, EpochPublisher, HubConfig, HubInner, IngestError, IngestHub, ReadHandle,
-    RecoveryReport, RotatePolicy, ServiceStats, SessionConfig, SessionHandle, SessionReceipt,
-    ViewCatalog, WalSyncStats,
+    BatchReceipt, CatalogError, DurabilityError, DurableCatalog, DurableMarks, Epoch,
+    EpochPublisher, HubConfig, HubInner, IngestError, IngestHub, ReadHandle, RecoveryReport,
+    RotatePolicy, ServiceStats, SessionHandle, SessionReceipt, ViewCatalog, WalSyncStats,
 };
-pub use vpa_core::{MaintStats, MaintView, ResolvedUpdate, Sapt, ViewManager};
+pub use vpa_core::{MaintStats, MaintView, ResolvedUpdate, Sapt};
 pub use xat::{ExecOptions, ExecStats, Executor, Plan, ViewExtent};
 pub use xmlstore::{Frag, InsertPos, Store};
 pub use xquery_lang::{OpAction, OpKind, UpdateBatch, UpdateOp};

@@ -3,7 +3,14 @@
 //! views, wildcard tests, Cartesian (uncorrelated multi-for) views — all
 //! maintained incrementally and checked against the recompute oracle.
 
-use xqview::{Store, ViewManager};
+use xqview::{Store, ViewCatalog};
+
+/// One view is a one-view catalog.
+fn one_view(store: Store, q: &str) -> ViewCatalog {
+    let mut cat = ViewCatalog::new(store);
+    cat.register("v", q).unwrap();
+    cat
+}
 
 fn store() -> Store {
     let mut s = Store::new();
@@ -27,92 +34,91 @@ fn store() -> Store {
 
 #[test]
 fn per_tuple_count_aggregate() {
-    let vm = ViewManager::new(
+    let cat = one_view(
         store(),
         r#"<r>{ for $d in doc("shop.xml")/shop/dept
                return <dept n="{$d/@name}" sales="{count($d/sale)}"/> }</r>"#,
-    )
-    .unwrap();
-    assert_eq!(vm.extent_xml(), r#"<r><dept n="books" sales="2"/><dept n="music" sales="3"/></r>"#);
+    );
+    assert_eq!(
+        cat.extent_xml("v").unwrap(),
+        r#"<r><dept n="books" sales="2"/><dept n="music" sales="3"/></r>"#
+    );
 }
 
 #[test]
 fn count_aggregate_maintained_under_updates() {
-    let mut vm = ViewManager::new(
+    let mut cat = one_view(
         store(),
         r#"<r>{ for $d in doc("shop.xml")/shop/dept
                return <dept n="{$d/@name}" sales="{count($d/sale)}"/> }</r>"#,
-    )
-    .unwrap();
-    let _ = vm
+    );
+    let _ = cat
         .apply_update_script(
             r#"for $d in document("shop.xml")/shop/dept
            where $d/@name = "books"
            update $d insert <sale><amount>99</amount></sale> into $d"#,
         )
         .unwrap();
-    assert!(vm.extent_xml().contains(r#"sales="3""#), "{}", vm.extent_xml());
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
-    let _ = vm
+    assert!(
+        cat.extent_xml("v").unwrap().contains(r#"sales="3""#),
+        "{}",
+        cat.extent_xml("v").unwrap()
+    );
+    cat.verify_all().unwrap();
+    let _ = cat
         .apply_update_script(
             r#"for $d in document("shop.xml")/shop/dept
            where $d/@name = "music"
            update $d delete $d"#,
         )
         .unwrap();
-    assert!(!vm.extent_xml().contains("music"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(!cat.extent_xml("v").unwrap().contains("music"));
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn sum_min_max_avg_per_tuple() {
-    let vm = ViewManager::new(
+    let cat = one_view(
         store(),
         r#"<r>{ for $d in doc("shop.xml")/shop/dept
                return <d n="{$d/@name}" sum="{sum($d/sale/amount)}"
                          min="{min($d/sale/amount)}" max="{max($d/sale/amount)}"
                          avg="{avg($d/sale/amount)}"/> }</r>"#,
-    )
-    .unwrap();
-    let xml = vm.extent_xml();
+    );
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains(r#"n="books" sum="35" min="10" max="25" avg="17.5""#), "{xml}");
     assert!(xml.contains(r#"n="music" sum="50" min="3" max="40""#), "{xml}");
 }
 
 #[test]
 fn top_level_aggregate_query() {
-    let vm = ViewManager::new(store(), r#"<total n="{count(doc("shop.xml")/shop/dept/sale)}"/>"#)
-        .unwrap();
-    assert_eq!(vm.extent_xml(), r#"<total n="5"/>"#);
+    let cat = one_view(store(), r#"<total n="{count(doc("shop.xml")/shop/dept/sale)}"/>"#);
+    assert_eq!(cat.extent_xml("v").unwrap(), r#"<total n="5"/>"#);
 }
 
 #[test]
 fn descendant_axis_view_maintained() {
-    let mut vm = ViewManager::new(
-        store(),
-        r#"<amounts>{ for $a in doc("shop.xml")//amount return $a }</amounts>"#,
-    )
-    .unwrap();
-    assert_eq!(vm.extent_xml().matches("<amount>").count(), 5);
-    let _ = vm
+    let mut cat =
+        one_view(store(), r#"<amounts>{ for $a in doc("shop.xml")//amount return $a }</amounts>"#);
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<amount>").count(), 5);
+    let _ = cat
         .apply_update_script(
             r#"for $d in document("shop.xml")/shop/dept[1]
            update $d insert <sale><amount>123</amount></sale> into $d"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml().matches("<amount>").count(), 6);
-    assert!(vm.extent_xml().contains("<amount>123</amount>"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<amount>").count(), 6);
+    assert!(cat.extent_xml("v").unwrap().contains("<amount>123</amount>"));
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn wildcard_step() {
-    let vm = ViewManager::new(
+    let cat = one_view(
         store(),
         r#"<r>{ for $x in doc("shop.xml")/shop/* return <got n="{$x/@name}"/> }</r>"#,
-    )
-    .unwrap();
-    assert_eq!(vm.extent_xml(), r#"<r><got n="books"/><got n="music"/></r>"#);
+    );
+    assert_eq!(cat.extent_xml("v").unwrap(), r#"<r><got n="books"/><got n="music"/></r>"#);
 }
 
 #[test]
@@ -120,13 +126,12 @@ fn cartesian_product_of_uncorrelated_bindings() {
     let mut s = Store::new();
     s.load_doc("a.xml", "<a><x>1</x><x>2</x></a>").unwrap();
     s.load_doc("b.xml", "<b><y>p</y><y>q</y></b>").unwrap();
-    let vm = ViewManager::new(
+    let cat = one_view(
         s,
         r#"<r>{ for $x in doc("a.xml")/a/x, $y in doc("b.xml")/b/y
                return <pair>{$x}{$y}</pair> }</r>"#,
-    )
-    .unwrap();
-    let xml = vm.extent_xml();
+    );
+    let xml = cat.extent_xml("v").unwrap();
     assert_eq!(xml.matches("<pair>").count(), 4);
     // Major order on $x, minor on $y (§3.2 type 3).
     assert_eq!(
@@ -138,23 +143,21 @@ fn cartesian_product_of_uncorrelated_bindings() {
 
 #[test]
 fn sequence_return_clause() {
-    let vm = ViewManager::new(
+    let cat = one_view(
         store(),
         r#"<r>{ for $d in doc("shop.xml")/shop/dept
                where $d/@name = "books"
                return <e>{$d/@name, count($d/sale)}</e> }</r>"#,
-    )
-    .unwrap();
-    let xml = vm.extent_xml();
+    );
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains("books"), "{xml}");
     assert!(xml.contains('2'), "{xml}");
 }
 
 #[test]
 fn nested_uncorrelated_constructors() {
-    let vm =
-        ViewManager::new(store(), r#"<r><one><two><three>deep</three></two></one></r>"#).unwrap();
-    assert_eq!(vm.extent_xml(), "<r><one><two><three>deep</three></two></one></r>");
+    let cat = one_view(store(), r#"<r><one><two><three>deep</three></two></one></r>"#);
+    assert_eq!(cat.extent_xml("v").unwrap(), "<r><one><two><three>deep</three></two></one></r>");
 }
 
 #[test]
@@ -176,7 +179,7 @@ fn doubly_nested_correlated_groups() {
         </geo>"#,
     )
     .unwrap();
-    let mut vm = ViewManager::new(
+    let mut cat = one_view(
         s,
         r#"<r>{
             for $rg in distinct-values(doc("geo.xml")/geo/city/@region)
@@ -191,28 +194,27 @@ fn doubly_nested_correlated_groups() {
                 }</city>
             }</region>
         }</r>"#,
-    )
-    .unwrap();
-    let xml = vm.extent_xml();
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    );
+    let xml = cat.extent_xml("v").unwrap();
+    cat.verify_all().unwrap();
     assert!(xml.contains(r#"<city id="boston"><shop id="s1"/><shop id="s3"/></city>"#), "{xml}");
     assert!(xml.contains(r#"<region id="west"><city id="denver"/></region>"#), "{xml}");
     // Maintain through an insert into a middle group…
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $g in document("geo.xml")/geo
            update $g insert <shop city="worcester" n="s4"/> into $g"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
-    assert!(vm.extent_xml().contains(r#"<shop id="s4"/>"#));
+    cat.verify_all().unwrap();
+    assert!(cat.extent_xml("v").unwrap().contains(r#"<shop id="s4"/>"#));
     // …and a delete that empties a city.
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $s in document("geo.xml")/geo/shop
            where $s/@city = "boston"
            update $s delete $s"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }

@@ -3,7 +3,14 @@
 //! when their last derivation goes — including through joins, duplicate
 //! join partners, and duplicate-elimination.
 
-use xqview::{Store, ViewManager};
+use xqview::{Store, ViewCatalog};
+
+/// One view is a one-view catalog.
+fn one_view(store: Store, q: &str) -> ViewCatalog {
+    let mut cat = ViewCatalog::new(store);
+    cat.register("v", q).unwrap();
+    cat
+}
 
 /// Two books share a title, and two entries share that title too: the join
 /// derives 4 pairs; every view node has interesting multiplicities.
@@ -47,80 +54,84 @@ const GROUPED_VIEW: &str = r#"<r>{
 
 #[test]
 fn join_multiplicities_survive_partial_delete() {
-    let mut vm = ViewManager::new(dup_store(), JOIN_VIEW).unwrap();
+    let mut cat = one_view(dup_store(), JOIN_VIEW);
     // 2 Twin books × 2 Twin entries = 4 hits + 1 Solo hit.
-    assert_eq!(vm.extent_xml().matches("<hit").count(), 5);
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 5);
     // Delete ONE Twin book: 2 hits remain from the other Twin book.
-    let _ = vm
+    let _ = cat
         .apply_update_script(r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#)
         .unwrap();
-    assert_eq!(vm.extent_xml().matches("<hit").count(), 3);
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 3);
+    cat.verify_all().unwrap();
     // Delete the second Twin book: only Solo remains.
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book where $b/title = "Twin" update $b delete $b"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml().matches("<hit").count(), 1);
-    assert!(vm.extent_xml().contains("<price>30</price>"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 1);
+    assert!(cat.extent_xml("v").unwrap().contains("<price>30</price>"));
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn distinct_value_survives_until_last_witness_gone() {
-    let mut vm = ViewManager::new(dup_store(), GROUPED_VIEW).unwrap();
-    assert!(vm.extent_xml().contains(r#"<g Y="1994">"#));
+    let mut cat = one_view(dup_store(), GROUPED_VIEW);
+    assert!(cat.extent_xml("v").unwrap().contains(r#"<g Y="1994">"#));
     // Two 1994 books: deleting one keeps the group.
-    let _ = vm
+    let _ = cat
         .apply_update_script(r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#)
         .unwrap();
-    assert!(vm.extent_xml().contains(r#"<g Y="1994">"#), "{}", vm.extent_xml());
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(
+        cat.extent_xml("v").unwrap().contains(r#"<g Y="1994">"#),
+        "{}",
+        cat.extent_xml("v").unwrap()
+    );
+    cat.verify_all().unwrap();
     // Deleting the second removes the whole group fragment at once (§8.3.2).
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
         )
         .unwrap();
-    assert!(!vm.extent_xml().contains("1994"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(!cat.extent_xml("v").unwrap().contains("1994"));
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn entry_side_deletes_decrement_join_hits() {
-    let mut vm = ViewManager::new(dup_store(), JOIN_VIEW).unwrap();
+    let mut cat = one_view(dup_store(), JOIN_VIEW);
     // Delete one Twin entry: each Twin book loses one pairing (4 → 2).
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $e in document("prices.xml")/prices/entry where $e/price = "10"
            update $e delete $e"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml().matches("<hit").count(), 3);
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 3);
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn reinsert_after_full_delete_recreates_nodes() {
-    let mut vm = ViewManager::new(dup_store(), GROUPED_VIEW).unwrap();
-    let _ = vm
+    let mut cat = one_view(dup_store(), GROUPED_VIEW);
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
         )
         .unwrap();
-    assert!(!vm.extent_xml().contains("1994"));
-    let _ = vm
+    assert!(!cat.extent_xml("v").unwrap().contains("1994"));
+    let _ = cat
         .apply_update_script(
             r#"for $r in document("bib.xml")/bib update $r
            insert <book year="1994"><title>Twin</title></book> into $r"#,
         )
         .unwrap();
     // The group returns, with both Twin prices, count rebuilt from scratch.
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains(r#"<g Y="1994">"#), "{xml}");
     assert!(xml.contains("<price>10</price>") && xml.contains("<price>20</price>"));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
@@ -128,23 +139,23 @@ fn insert_then_delete_across_batches_nets_zero() {
     // (Within one batch, all statements resolve against the same snapshot —
     // the paper's batch-update-tree semantics, §5.3 — so a delete cannot see
     // a same-batch insert. Across batches, insert-then-delete nets zero.)
-    let mut vm = ViewManager::new(dup_store(), GROUPED_VIEW).unwrap();
-    let before = vm.extent_xml();
-    let _ = vm
+    let mut cat = one_view(dup_store(), GROUPED_VIEW);
+    let before = cat.extent_xml("v").unwrap();
+    let _ = cat
         .apply_update_script(
             r#"for $r in document("bib.xml")/bib update $r
            insert <book year="1977"><title>Ghost</title></book> into $r"#,
         )
         .unwrap();
-    assert!(vm.extent_xml().contains("1977"));
-    let _ = vm
+    assert!(cat.extent_xml("v").unwrap().contains("1977"));
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book where $b/@year = "1977"
            update $b delete $b"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml(), before);
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap(), before);
+    cat.verify_all().unwrap();
 }
 
 #[test]
@@ -153,24 +164,23 @@ fn update_inside_bound_fragment_adjusts_content_not_existence() {
     // re-derives the book's exposed copy without changing group counts.
     let mut s = Store::new();
     s.load_doc("bib.xml", r#"<bib><book year="1994"><title>Solo</title></book></bib>"#).unwrap();
-    let mut vm =
-        ViewManager::new(s, r#"<r>{ for $b in doc("bib.xml")/bib/book return $b }</r>"#).unwrap();
-    let _ = vm
+    let mut cat = one_view(s, r#"<r>{ for $b in doc("bib.xml")/bib/book return $b }</r>"#);
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book[1]
            update $b insert <note>annotated</note> into $b"#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert_eq!(xml.matches("<book").count(), 1, "book still derived once: {xml}");
     assert!(xml.contains("<note>annotated</note>"));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
     // And deleting that inner node restores the original content.
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b/note"#,
         )
         .unwrap();
-    assert!(!vm.extent_xml().contains("note"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(!cat.extent_xml("v").unwrap().contains("note"));
+    cat.verify_all().unwrap();
 }

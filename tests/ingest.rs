@@ -1,17 +1,18 @@
 //! The typed update API and the batched ingestion front, end to end:
 //!
 //! * **Round trip** — parsing a script into an [`UpdateBatch`] and
-//!   submitting it through a [`CatalogSession`] must yield extents
+//!   submitting it through an [`IngestHub`] session must yield extents
 //!   identical to the legacy `apply_update_script` path, with the
 //!   `verify_all()` recompute oracle holding after every boundary.
 //! * **Backpressure** — the bounded session queue must reject (not block,
-//!   not grow) once at capacity, and recover after a flush.
+//!   not grow) once at capacity, and recover after a drain.
 //! * **Error paths** — duplicate `register`, `drop_view` on a missing
 //!   view, malformed scripts, and the `std::error::Error` wiring.
 
 use std::error::Error as StdError;
 use xqview::viewsrv::{
-    BatchReceipt, CatalogError, IngestError, SessionConfig, UpdateBatch, UpdateOp, ViewCatalog,
+    BatchReceipt, CatalogError, HubConfig, IngestError, IngestHub, UpdateBatch, UpdateOp,
+    ViewCatalog,
 };
 use xqview::xquery_lang::{CmpOp, InsertPosition};
 use xqview::Store;
@@ -77,28 +78,49 @@ fn extents(cat: &ViewCatalog) -> Vec<String> {
     ["flat", "join", "prices_only"].iter().map(|n| cat.extent_xml(n).unwrap()).collect()
 }
 
+/// A hub whose background drain never fires during a test (the time
+/// window is a minute), so chunks come only from `commit` and
+/// `drain_now` — coalescing is deterministic.
+fn hub(cat: ViewCatalog, queue_capacity: usize, window_ops: usize) -> IngestHub {
+    cat.into_hub(HubConfig {
+        queue_capacity,
+        window_ops,
+        window_ms: 60_000,
+        ..HubConfig::default()
+    })
+}
+
+/// Stop the hub and run the recompute oracle over the catalog it hands back.
+fn shutdown_verified(hub: IngestHub) -> Vec<String> {
+    let inner = hub.shutdown();
+    inner.catalog().verify_all().unwrap();
+    extents(inner.catalog())
+}
+
 // ── Round trips ─────────────────────────────────────────────────────────
 
 /// Acceptance criterion: script → typed ops → session submission produces
 /// extents identical to the legacy script path, with the recompute oracle
-/// holding after every flush boundary.
+/// holding after every commit boundary.
 #[test]
 fn session_round_trip_matches_legacy_script_path() {
     let mut legacy = catalog();
-    let mut typed = catalog();
+    let typed = hub(catalog(), 64, 256);
+    let session = typed.handle();
     for script in SCRIPTS {
         let _ = legacy.apply_update_script(script).unwrap();
 
         let batch = UpdateBatch::from_script(script).unwrap();
-        let mut session = typed.session(SessionConfig::default());
         session.try_submit(batch).unwrap();
-        let receipts = session.flush().unwrap();
-        assert_eq!(receipts.len(), 1);
+        assert_eq!(session.commit().unwrap().batches_applied, 1);
 
-        assert_eq!(extents(&legacy), extents(&typed), "diverged after {script}");
+        let typed_extents = typed.with_catalog(extents).unwrap();
+        assert_eq!(extents(&legacy), typed_extents, "diverged after {script}");
         legacy.verify_all().unwrap();
-        typed.verify_all().unwrap();
+        typed.with_catalog(|c| c.verify_all().unwrap()).unwrap();
     }
+    drop(session);
+    assert_eq!(shutdown_verified(typed), extents(&legacy));
 }
 
 /// Builder-constructed ops are equivalent to their script spellings.
@@ -144,7 +166,6 @@ fn builder_ops_match_script_ops() {
 #[test]
 fn coalesced_window_matches_per_batch_application() {
     let mut one_by_one = catalog();
-    let mut coalesced = catalog();
 
     let batches: Vec<UpdateBatch> = (0..6)
         .map(|i| {
@@ -158,7 +179,8 @@ fn coalesced_window_matches_per_batch_application() {
         let _ = one_by_one.apply_batch(b).unwrap();
     }
 
-    let mut session = coalesced.session(SessionConfig { queue_capacity: 16, window_ops: 4 });
+    let coalesced = hub(catalog(), 16, 4);
+    let session = coalesced.handle();
     for b in &batches {
         session.try_submit(b.clone()).unwrap();
     }
@@ -167,8 +189,8 @@ fn coalesced_window_matches_per_batch_application() {
     assert_eq!(receipt.batches_applied, 2, "6 one-op submissions over a 4-op window");
     assert_eq!(receipt.ops, 6);
 
-    assert_eq!(extents(&one_by_one), extents(&coalesced));
-    coalesced.verify_all().unwrap();
+    drop(session);
+    assert_eq!(extents(&one_by_one), shutdown_verified(coalesced));
 }
 
 // ── Receipts ────────────────────────────────────────────────────────────
@@ -195,17 +217,17 @@ fn receipts_report_touched_views_and_phases() {
 }
 
 #[test]
-fn session_receipt_aggregates_across_flushes() {
-    let mut cat = catalog();
-    let mut session = cat.session(SessionConfig { queue_capacity: 4, window_ops: 100 });
+fn session_receipt_aggregates_across_drain_rounds() {
+    let hub = hub(catalog(), 4, 100);
+    let session = hub.handle();
     session
         .try_submit_script(
             r#"for $r in document("bib.xml")/bib update $r
                insert <book year="1994"><title>A</title></book> into $r"#,
         )
         .unwrap();
-    let first = session.flush().unwrap();
-    assert_eq!(first.len(), 1);
+    assert_eq!(hub.drain_now(), 1);
+    assert_eq!(session.applied_batches(), 1);
     session
         .try_submit_script(
             r#"for $r in document("prices.xml")/prices update $r
@@ -214,12 +236,13 @@ fn session_receipt_aggregates_across_flushes() {
         .unwrap();
     let receipt = session.commit().unwrap();
     assert_eq!(receipt.batches_submitted, 2);
-    assert_eq!(receipt.batches_applied, 2, "explicit flush is a sequencing boundary");
-    // The union covers both flushes: the bib insert touched flat+join, the
+    assert_eq!(receipt.batches_applied, 2, "a drain round is a sequencing boundary");
+    // The union covers both rounds: the bib insert touched flat+join, the
     // prices insert touched join+prices_only.
     assert_eq!(receipt.views_touched, vec!["flat", "join", "prices_only"]);
     assert_eq!(receipt.stats.batches, 2);
-    cat.verify_all().unwrap();
+    drop(session);
+    shutdown_verified(hub);
 }
 
 // ── Backpressure ────────────────────────────────────────────────────────
@@ -228,8 +251,8 @@ fn session_receipt_aggregates_across_flushes() {
 /// blocking or allocating unboundedly.
 #[test]
 fn bounded_queue_rejects_with_queue_full() {
-    let mut cat = catalog();
-    let mut session = cat.session(SessionConfig { queue_capacity: 2, window_ops: 100 });
+    let hub = hub(catalog(), 2, 100);
+    let session = hub.handle();
     let op = |i: usize| {
         let frag = format!(r#"<book year="2001"><title>B{i}</title></book>"#);
         UpdateBatch::new()
@@ -246,14 +269,15 @@ fn bounded_queue_rejects_with_queue_full() {
     assert_eq!(session.queued_batches(), 2, "rejected submission must not enqueue");
     assert_eq!(session.queued_ops(), 2);
 
-    // Backpressure is recoverable: flush drains the queue, then the
-    // handed-back batch is accepted without re-building it.
-    let _ = session.flush().unwrap();
+    // Backpressure is recoverable: a drain round empties the queue, then
+    // the handed-back batch is accepted without re-building it.
+    assert_eq!(hub.drain_now(), 1);
     assert_eq!(session.queued_batches(), 0);
     session.try_submit(rejected).unwrap();
     let receipt = session.commit().unwrap();
     assert_eq!(receipt.ops, 3);
-    cat.verify_all().unwrap();
+    drop(session);
+    shutdown_verified(hub);
 }
 
 // ── Error paths ─────────────────────────────────────────────────────────
@@ -293,33 +317,32 @@ fn malformed_scripts_error_without_mutating() {
 
 #[test]
 fn errors_implement_std_error_end_to_end() {
-    let mut cat = catalog();
-    let mut session = cat.session(SessionConfig { queue_capacity: 0, window_ops: 1 });
-    let err = session.try_submit(UpdateBatch::new()).unwrap_err();
+    let full = hub(catalog(), 0, 1);
+    let err = full.handle().try_submit(UpdateBatch::new()).unwrap_err();
     // IngestError: Display + Error, QueueFull has no source.
     let dynamic: &dyn StdError = &err;
     assert!(dynamic.to_string().contains("queue is full"));
     assert!(dynamic.source().is_none());
-    drop(session);
 
     // A catalog failure threads its source chain through IngestError.
-    let mut session = cat.session(SessionConfig::default());
+    let hub = hub(catalog(), 64, 256);
+    let session = hub.handle();
     session.try_submit_script(r#"for $b in document("ghost.xml")/r update $b delete $b"#).unwrap();
-    let err = session.flush().unwrap_err();
+    let err = session.commit().unwrap_err();
     let dynamic: &dyn StdError = &err;
     let source = dynamic.source().expect("catalog error is the source");
     assert!(source.to_string().contains("unknown document"));
 }
 
-/// A failing flush loses nothing: the failing chunk goes back on the
+/// A failing commit loses nothing: the failing chunk goes back on the
 /// queue, earlier receipts stay held, and the session recovers after
 /// discarding the poison submission.
 #[test]
-fn failed_flush_requeues_chunk_and_keeps_receipts() {
-    let mut cat = catalog();
+fn failed_commit_requeues_chunk_and_keeps_receipts() {
     // window_ops 1 keeps the good and poison submissions in separate
     // chunks, so the good one applies before the poison one fails.
-    let mut session = cat.session(SessionConfig { queue_capacity: 8, window_ops: 1 });
+    let hub = hub(catalog(), 8, 1);
+    let session = hub.handle();
     session
         .try_submit_script(
             r#"for $r in document("bib.xml")/bib update $r
@@ -327,19 +350,20 @@ fn failed_flush_requeues_chunk_and_keeps_receipts() {
         )
         .unwrap();
     session.try_submit_script(r#"for $b in document("ghost.xml")/r update $b delete $b"#).unwrap();
-    assert!(session.flush().is_err());
-    assert_eq!(session.receipts().len(), 1, "the good chunk's receipt survives the error");
+    assert!(session.commit().is_err());
+    assert_eq!(session.applied_batches(), 1, "the good chunk's receipt survives the error");
     assert_eq!(session.queued_batches(), 1, "the failing chunk is back on the queue");
 
     // Retrying without intervention fails identically; discarding the
     // poison submission recovers the session.
-    assert!(session.flush().is_err());
+    assert!(session.commit().is_err());
     let discarded = session.discard_queued();
     assert_eq!(discarded.len(), 1);
     assert_eq!(session.queued_ops(), 0);
     let receipt = session.commit().unwrap();
     assert_eq!(receipt.batches_applied, 1);
     assert_eq!(receipt.ops, 1);
-    cat.verify_all().unwrap();
-    assert!(cat.extent_xml("flat").unwrap().contains("Good"));
+    drop(session);
+    let flat = &shutdown_verified(hub)[0];
+    assert!(flat.contains("Good"));
 }

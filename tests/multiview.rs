@@ -6,7 +6,7 @@
 //! service statistics must prove that irrelevant views were skipped by the
 //! SAPT relevancy routing rather than propagated to.
 
-use xqview::{Store, ViewCatalog, ViewManager};
+use xqview::{Store, ViewCatalog};
 
 const FLAT_VIEW: &str = r#"<result>{
   for $b in doc("bib.xml")/bib/book
@@ -147,25 +147,34 @@ fn skipping_shows_up_in_cumulative_stats() {
 }
 
 #[test]
-fn catalog_agrees_with_independent_view_managers() {
+fn catalog_agrees_with_independent_one_view_catalogs() {
     // The catalog over the shared store must produce extents identical to
-    // N independent single-view managers each owning a private copy.
+    // N independent one-view catalogs each owning a private copy.
     let mut cat = full_catalog();
-    let mut managers: Vec<(&str, ViewManager)> = vec![
-        ("flat", ViewManager::new(shared_store(), FLAT_VIEW).unwrap()),
-        ("join", ViewManager::new(shared_store(), JOIN_VIEW).unwrap()),
-        ("grouped", ViewManager::new(shared_store(), GROUPED_VIEW).unwrap()),
-        ("prices_only", ViewManager::new(shared_store(), PRICES_ONLY_VIEW).unwrap()),
+    let views = [
+        ("flat", FLAT_VIEW),
+        ("join", JOIN_VIEW),
+        ("grouped", GROUPED_VIEW),
+        ("prices_only", PRICES_ONLY_VIEW),
     ];
+    let mut solos: Vec<(&str, ViewCatalog)> = views
+        .into_iter()
+        .map(|(name, q)| {
+            let mut solo = ViewCatalog::new(shared_store());
+            solo.register(name, q).unwrap();
+            (name, solo)
+        })
+        .collect();
     for script in SCRIPTS {
         let _ = cat.apply_update_script(script).unwrap();
-        for (name, vm) in &mut managers {
-            let _ = vm.apply_update_script(script).unwrap();
+        for (name, solo) in &mut solos {
+            let _ = solo.apply_update_script(script).unwrap();
             assert_eq!(
                 cat.extent_xml(name).unwrap(),
-                vm.extent_xml(),
-                "catalog and solo manager diverged on {name}"
+                solo.extent_xml(name).unwrap(),
+                "catalog and one-view catalog diverged on {name}"
             );
+            solo.verify_all().unwrap();
         }
     }
 }

@@ -15,7 +15,7 @@
 //!   durations) is identical.
 
 use std::sync::Arc;
-use viewsrv::{SessionConfig, UpdateBatch, ViewCatalog};
+use viewsrv::{HubConfig, HubInner, UpdateBatch, ViewCatalog};
 use xmlstore::Store;
 use xquery_lang::{InsertPosition, UpdateOp};
 
@@ -312,8 +312,16 @@ fn workload_catalog(pool: exec::Executor) -> ViewCatalog {
     )
     .unwrap();
     // The same mixed workload the parallel suite uses: bib inserts plus
-    // prices traffic, pushed through a coalescing session.
-    let mut session = cat.session(SessionConfig { queue_capacity: 64, window_ops: 4 });
+    // prices traffic, pushed through a coalescing hub session. The time
+    // window outlasts the test, so every round is a commit's own drain
+    // and the hub's series are as deterministic as the catalog's.
+    let hub = cat.into_hub(HubConfig {
+        queue_capacity: 64,
+        window_ops: 4,
+        window_ms: 60_000,
+        ..HubConfig::default()
+    });
+    let session = hub.handle();
     for i in 0..12 {
         let frag = format!(r#"<book year="19{:02}"><title>Obs Volume {i}</title></book>"#, i % 6);
         let op = UpdateOp::insert("bib.xml", "/bib", InsertPosition::Into, &frag).unwrap();
@@ -333,6 +341,7 @@ fn workload_catalog(pool: exec::Executor) -> ViewCatalog {
     }
     let _ = session.commit().unwrap();
     drop(session);
+    let HubInner::Volatile(cat) = hub.shutdown() else { unreachable!("volatile hub") };
     cat
 }
 

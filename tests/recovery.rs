@@ -9,7 +9,7 @@
 //! `RecoveryReport` must account for exactly the replayed records/ops and
 //! the discarded torn suffix.
 
-use viewsrv::{DurableCatalog, UpdateBatch, ViewCatalog};
+use viewsrv::{DurableCatalog, HubConfig, HubInner, UpdateBatch, ViewCatalog};
 use wire::frame;
 use xmlstore::Store;
 
@@ -195,7 +195,7 @@ fn crash_at_every_wal_boundary_recovers_byte_identical() {
         );
         assert_eq!(r.discarded_bytes, 0, "boundary {i} is not torn");
         assert_eq!(extents(cat.catalog(), &views), reference.extents[i], "boundary {i}");
-        assert!(cat.store().same_content(&reference.stores[i]), "store at boundary {i}");
+        assert!(cat.catalog().store().same_content(&reference.stores[i]), "store at boundary {i}");
         cat.verify_all().unwrap();
 
         // Torn crashes strictly inside the next record.
@@ -238,21 +238,21 @@ fn recovered_catalog_continues_and_checkpoints() {
     cat.snapshot().unwrap();
     assert_eq!(cat.wal_records(), 0);
     let want = extents(cat.catalog(), &views);
-    let want_store = cat.store().clone();
+    let want_store = cat.catalog().store().clone();
     drop(cat);
 
     let cat = DurableCatalog::open(&dir).unwrap();
     assert_eq!(cat.recovery().replayed_batches, 0, "checkpoint absorbed the tail");
     assert_eq!(cat.recovery().snapshot_views, views.len());
     assert_eq!(extents(cat.catalog(), &views), want);
-    assert!(cat.store().same_content(&want_store));
+    assert!(cat.catalog().store().same_content(&want_store));
     cat.verify_all().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Journaled sessions crash-recover like direct applies: the WAL holds
-/// the coalesced chunks a flush applied, and a torn tail never loses a
-/// committed chunk.
+/// Hub sessions over a durable catalog crash-recover like direct applies:
+/// the WAL holds the coalesced chunks a commit applied, and a torn tail
+/// never loses a committed chunk.
 #[test]
 fn journaled_session_crash_matrix() {
     let cfg = bib_cfg();
@@ -265,13 +265,22 @@ fn journaled_session_crash_matrix() {
     for (name, q) in &views {
         cat.register(name, q).unwrap();
     }
-    let mut session = cat.session(viewsrv::SessionConfig { queue_capacity: 16, window_ops: 4 });
+    // The time window outlasts the test: every chunk is the commit's own.
+    let hub = cat.into_hub(HubConfig {
+        queue_capacity: 16,
+        window_ops: 4,
+        window_ms: 60_000,
+        ..HubConfig::default()
+    });
+    let session = hub.handle();
     for b in workload(&cfg) {
         session.try_submit(b).unwrap();
     }
     let receipt = session.commit().unwrap();
     assert!(receipt.batches_applied < receipt.batches_submitted, "windows coalesced");
     let applied = receipt.batches_applied;
+    drop(session);
+    let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
     assert_eq!(cat.wal_records(), applied);
     let want = extents(cat.catalog(), &views);
     let gen = cat.generation();
@@ -387,7 +396,7 @@ fn crash_at_every_rotation_boundary_recovers_byte_identical() {
     assert_eq!(r.chained_segments, 0, "no chaining once the snapshot landed");
     assert_eq!(r.replayed_batches, batches.len() - pre, "pre-snapshot WAL not replayed");
     assert_eq!(extents(cat.catalog(), &views), reference.extents[batches.len()]);
-    assert!(cat.store().same_content(&reference.stores[batches.len()]));
+    assert!(cat.catalog().store().same_content(&reference.stores[batches.len()]));
     cat.verify_all().unwrap();
     drop(cat);
 
@@ -412,7 +421,7 @@ fn crash_at_every_rotation_boundary_recovers_byte_identical() {
             assert_eq!(r.replayed_batches, pre + k, "boundary {k} (+{torn_extra})");
             assert_eq!(r.discarded_bytes, torn_extra as u64);
             assert_eq!(extents(cat.catalog(), &views), reference.extents[pre + k]);
-            assert!(cat.store().same_content(&reference.stores[pre + k]));
+            assert!(cat.catalog().store().same_content(&reference.stores[pre + k]));
             cat.verify_all().unwrap();
         }
     }
@@ -450,7 +459,7 @@ fn crash_at_every_rotation_boundary_recovers_byte_identical() {
         assert_eq!(cat.generation(), sealed_gen, "no seal, no rotation");
         assert!(r.discarded_bytes > 0, "the torn seal was discarded");
         assert_eq!(extents(cat.catalog(), &views), reference.extents[pre]);
-        assert!(cat.store().same_content(&reference.stores[pre]));
+        assert!(cat.catalog().store().same_content(&reference.stores[pre]));
         cat.verify_all().unwrap();
     }
 

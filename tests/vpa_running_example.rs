@@ -3,8 +3,7 @@
 //! heterogeneous Figure 1.3 updates in one batch, and the Figure 1.4
 //! expected refreshed extent.
 
-use vpa_core::ViewManager;
-use xmlstore::Store;
+use xqview::{Store, ViewCatalog};
 
 const BIB: &str = r#"<bib>
     <book year="1994"><title>TCP/IP Illustrated</title>
@@ -50,18 +49,21 @@ update $entry
 replace $entry/price/text() with "70"
 "#;
 
-fn manager() -> ViewManager {
+/// The running example as a one-view catalog (the view registered as "v").
+fn running_example() -> ViewCatalog {
     let mut s = Store::new();
     s.load_doc("bib.xml", BIB).unwrap();
     s.load_doc("prices.xml", PRICES).unwrap();
-    ViewManager::new(s, VIEW).unwrap()
+    let mut cat = ViewCatalog::new(s);
+    cat.register("v", VIEW).unwrap();
+    cat
 }
 
 #[test]
 fn initial_extent_matches_figure_1_2b() {
-    let vm = manager();
+    let cat = running_example();
     assert_eq!(
-        vm.extent_xml(),
+        cat.extent_xml("v").unwrap(),
         concat!(
             r#"<result>"#,
             r#"<yGroup Y="1994"><books><entry><title>TCP/IP Illustrated</title><price>65.95</price></entry></books></yGroup>"#,
@@ -73,9 +75,9 @@ fn initial_extent_matches_figure_1_2b() {
 
 #[test]
 fn figure_1_3_batch_refreshes_to_figure_1_4() {
-    let mut vm = manager();
-    let stats = vm.apply_update_script(UPDATES).unwrap();
-    assert_eq!(stats.relevant, 3);
+    let mut cat = running_example();
+    let stats = cat.apply_update_script(UPDATES).unwrap();
+    assert_eq!(stats.views_routed, 3);
     // Figure 1.4: one yGroup (1994) with the TCP/IP entry (price now 70)
     // followed by the new Advanced-Programming entry (69.99); the 2000
     // group is gone entirely.
@@ -87,18 +89,18 @@ fn figure_1_3_batch_refreshes_to_figure_1_4() {
         r#"</books></yGroup>"#,
         r#"</result>"#
     );
-    assert_eq!(vm.extent_xml(), expected);
+    assert_eq!(cat.extent_xml("v").unwrap(), expected);
     // And the refreshed extent equals recomputation over the updated
     // sources — the paper's correctness definition (§1.2).
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn updates_applied_one_at_a_time_match_recompute_at_each_step() {
-    let mut vm = manager();
+    let mut cat = running_example();
     for stmt in UPDATES.split(';').filter(|s| !s.trim().is_empty()) {
-        let _ = vm.apply_update_script(stmt).unwrap();
-        assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap(), "after: {stmt}");
+        let _ = cat.apply_update_script(stmt).unwrap();
+        cat.verify_all().unwrap_or_else(|e| panic!("after: {stmt}: {e}"));
     }
 }
 
@@ -106,80 +108,80 @@ fn updates_applied_one_at_a_time_match_recompute_at_each_step() {
 fn figure_1_3a_insert_places_new_entry_in_document_order() {
     // §4.1: the new entry must come *second* in the 1994 group, because the
     // inserted book comes second among 1994 books in the source.
-    let mut vm = manager();
-    let _ = vm.apply_update_script(
+    let mut cat = running_example();
+    let _ = cat.apply_update_script(
         r#"for $book in document("bib.xml")/bib/book[2]
            update $book
            insert <book year="1994"><title>Advanced Programming in the Unix environment</title></book> after $book"#,
     )
     .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     let tcp = xml.find("TCP/IP Illustrated").unwrap();
     let adv = xml.find("Advanced Programming").unwrap();
     assert!(tcp < adv, "source document order preserved in the group: {xml}");
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn figure_1_3b_delete_removes_entire_ygroup_fragment() {
     // §1.2: deleting the only 2000 book must delete the whole yGroup
     // fragment (root disconnect), not just the entry.
-    let mut vm = manager();
-    let _ = vm
+    let mut cat = running_example();
+    let _ = cat
         .apply_update_script(
             r#"for $book in document("bib.xml")/bib/book
            where $book/title = "Data on the Web"
            update $book delete $book"#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert!(!xml.contains("2000"), "{xml}");
     assert!(xml.contains(r#"<yGroup Y="1994">"#));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn delete_one_of_two_books_keeps_shared_group() {
     // Multiple derivations (§1.2): with two 1994 books, deleting one keeps
     // the group — the counting solution at work.
-    let mut vm = manager();
-    let _ = vm.apply_update_script(
+    let mut cat = running_example();
+    let _ = cat.apply_update_script(
         r#"for $book in document("bib.xml")/bib/book[1]
            update $book
            insert <book year="1994"><title>Advanced Programming in the Unix environment</title></book> after $book"#,
     )
     .unwrap();
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
     // Now delete the original 1994 book; the group must survive with the
     // other book's entry.
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $book in document("bib.xml")/bib/book
            where $book/title = "TCP/IP Illustrated"
            update $book delete $book"#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains(r#"<yGroup Y="1994">"#), "{xml}");
     assert!(xml.contains("Advanced Programming"));
     assert!(!xml.contains("TCP/IP"));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn figure_1_3c_modify_takes_fast_path_or_matches_recompute() {
-    let mut vm = manager();
-    let stats = vm
+    let mut cat = running_example();
+    let stats = cat
         .apply_update_script(
             r#"for $entry in document("prices.xml")/prices/entry
                where $entry/b-title = "TCP/IP Illustrated"
                update $entry replace $entry/price/text() with "70""#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains("<price>70</price>"), "{xml}");
     assert!(!xml.contains("65.95"));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
     // price text feeds no predicate in this view, so the in-place fast path
     // must have served it.
     assert_eq!(stats.fast_modifies, 1);
@@ -189,16 +191,16 @@ fn figure_1_3c_modify_takes_fast_path_or_matches_recompute() {
 fn modify_of_predicate_path_regroups_correctly() {
     // Replacing a *join-relevant* value (b-title) must move entries between
     // groups — the slow (delete+insert of the bound fragment) path.
-    let mut vm = manager();
-    let _ = vm
+    let mut cat = running_example();
+    let _ = cat
         .apply_update_script(
             r#"for $entry in document("prices.xml")/prices/entry
            where $entry/b-title = "TCP/IP Illustrated"
            update $entry replace $entry/b-title/text() with "Data on the Web""#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    let xml = cat.extent_xml("v").unwrap();
+    cat.verify_all().unwrap();
     // The 65.95 entry now matches the 2000 book ("Data on the Web"), so the
     // 2000 group carries TWO entries; the 1994 book lost its only match, so
     // its group remains with an empty container (LOJ semantics).
@@ -207,31 +209,31 @@ fn modify_of_predicate_path_regroups_correctly() {
     assert!(g2000.contains("<price>39.95</price>"), "{xml}");
     assert!(g2000.contains("<price>65.95</price>"), "{xml}");
     // And the source really carries the new b-title.
-    let prices = vm.store().serialize_doc("prices.xml").unwrap();
+    let prices = cat.store().serialize_doc("prices.xml").unwrap();
     assert_eq!(prices.matches("<b-title>Data on the Web</b-title>").count(), 2);
 }
 
 #[test]
 fn irrelevant_updates_touch_sources_only() {
-    let mut vm = manager();
-    let before = vm.extent_xml();
-    let stats = vm
+    let mut cat = running_example();
+    let before = cat.extent_xml("v").unwrap();
+    let stats = cat
         .apply_update_script(
             r#"for $r in document("bib.xml")/bib
                update $r insert <journal><name>TODS</name></journal> into $r"#,
         )
         .unwrap();
-    assert_eq!(stats.irrelevant, 1);
-    assert_eq!(stats.relevant, 0);
-    assert_eq!(vm.extent_xml(), before);
+    assert_eq!(stats.views_skipped, 1);
+    assert_eq!(stats.views_routed, 0);
+    assert_eq!(cat.extent_xml("v").unwrap(), before);
     // The source did change.
-    assert!(vm.store().serialize_doc("bib.xml").unwrap().contains("TODS"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(cat.store().serialize_doc("bib.xml").unwrap().contains("TODS"));
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn mixed_large_batch_remains_consistent() {
-    let mut vm = manager();
+    let mut cat = running_example();
     let script = r#"
       for $b in document("bib.xml")/bib/book[1]
       update $b insert <book year="2000"><title>Advanced Programming in the Unix environment</title></book> before $b ;
@@ -244,30 +246,30 @@ fn mixed_large_batch_remains_consistent() {
       where $b/title = "TCP/IP Illustrated"
       update $b replace $b/title/text() with "TCP/IP Illustrated Vol 1"
     "#;
-    let _ = vm.apply_update_script(script).unwrap();
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    let _ = cat.apply_update_script(script).unwrap();
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn repeated_insert_delete_cycles_stay_consistent() {
-    let mut vm = manager();
+    let mut cat = running_example();
     for i in 0..6 {
         let year = if i % 2 == 0 { "1994" } else { "2001" };
-        let _ = vm.apply_update_script(&format!(
+        let _ = cat.apply_update_script(&format!(
             r#"for $r in document("bib.xml")/bib
                update $r insert <book year="{year}"><title>Advanced Programming in the Unix environment</title></book> into $r"#,
         ))
         .unwrap();
-        assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap(), "after insert {i}");
+        cat.verify_all().unwrap_or_else(|e| panic!("after insert {i}: {e}"));
         if i % 3 == 2 {
-            let _ = vm
+            let _ = cat
                 .apply_update_script(
                     r#"for $b in document("bib.xml")/bib/book
                    where $b/@year = "2001"
                    update $b delete $b"#,
                 )
                 .unwrap();
-            assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap(), "after delete {i}");
+            cat.verify_all().unwrap_or_else(|e| panic!("after delete {i}: {e}"));
         }
     }
 }

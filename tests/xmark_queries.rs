@@ -4,7 +4,14 @@
 
 use xqview::xat::exec::ExecOptions;
 use xqview::xat::translate::translate_query;
-use xqview::{Executor, Store, ViewManager};
+use xqview::{Executor, Store, ViewCatalog};
+
+/// One view is a one-view catalog.
+fn one_view(store: Store, q: &str) -> ViewCatalog {
+    let mut cat = ViewCatalog::new(store);
+    cat.register("v", q).unwrap();
+    cat
+}
 
 fn site(people: usize) -> Store {
     let cfg = datagen::SiteConfig {
@@ -106,8 +113,8 @@ fn q4_construction_heavy_result_shape() {
 #[test]
 fn q2_view_maintains_under_person_inserts() {
     let s = site(20);
-    let mut vm = ViewManager::new(s, Q2).unwrap();
-    let _ = vm.apply_update_script(
+    let mut cat = one_view(s, Q2);
+    let _ = cat.apply_update_script(
         r#"for $p in document("site.xml")/site/people
            update $p insert <person id="personX" income="1"><name>X</name>
            <address><street>1 A</street><city>AaNewCity</city><country>X</country></address>
@@ -115,49 +122,49 @@ fn q2_view_maintains_under_person_inserts() {
            </person> into $p"#,
     )
     .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert!(xml.starts_with("<result><city>AaNewCity</city>"), "new city sorts first: {xml}");
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn q3_join_view_maintains_under_auction_updates() {
     let s = site(20);
-    let mut vm = ViewManager::new(s, Q3).unwrap();
-    let before_dates = vm.extent_xml().matches("<date>").count();
-    let _ = vm
+    let mut cat = one_view(s, Q3);
+    let before_dates = cat.extent_xml("v").unwrap().matches("<date>").count();
+    let _ = cat
         .apply_update_script(
             r#"for $c in document("site.xml")/site/closed_auctions
            update $c insert <closed_auction><seller person="person0"/><buyer person="person1"/>
            <date>01/01/2099</date></closed_auction> into $c"#,
         )
         .unwrap();
-    let xml = vm.extent_xml();
+    let xml = cat.extent_xml("v").unwrap();
     assert_eq!(xml.matches("<date>").count(), before_dates + 1);
     assert!(xml.contains("01/01/2099"));
-    assert_eq!(xml, vm.recompute_xml().unwrap());
+    cat.verify_all().unwrap();
     // Self-join document (both sides read site.xml): delete the auction.
-    let _ = vm
+    let _ = cat
         .apply_update_script(
             r#"for $a in document("site.xml")/site/closed_auctions/closed_auction
            where $a/date = "01/01/2099"
            update $a delete $a"#,
         )
         .unwrap();
-    assert_eq!(vm.extent_xml().matches("<date>").count(), before_dates);
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert_eq!(cat.extent_xml("v").unwrap().matches("<date>").count(), before_dates);
+    cat.verify_all().unwrap();
 }
 
 #[test]
 fn q1_view_maintains_under_profile_modify() {
     let s = site(15);
-    let mut vm = ViewManager::new(s, Q1).unwrap();
-    let _ = vm
+    let mut cat = one_view(s, Q1);
+    let _ = cat
         .apply_update_script(
             r#"for $p in document("site.xml")/site/people/person[3]
            update $p replace $p/profile/age with "99""#,
         )
         .unwrap();
-    assert!(vm.extent_xml().contains("<age>99</age>"));
-    assert_eq!(vm.extent_xml(), vm.recompute_xml().unwrap());
+    assert!(cat.extent_xml("v").unwrap().contains("<age>99</age>"));
+    cat.verify_all().unwrap();
 }
