@@ -1,6 +1,7 @@
 //! Bench for Figures 9.2/9.4/9.5: incremental maintenance vs full
 //! recomputation for single-insert and single-delete updates.
 
+use viewsrv::UpdateBatch;
 use vpa_bench::harness::timed_with_setup;
 use vpa_bench::*;
 
@@ -17,7 +18,7 @@ fn main() {
             (cat, script)
         },
         |(mut cat, script)| {
-            let _ = cat.apply_update_script(&script).unwrap();
+            let _ = cat.apply_batch(&UpdateBatch::from_script(&script).unwrap()).unwrap();
             cat
         },
     );
@@ -29,7 +30,15 @@ fn main() {
             let mut cat = one_view(store, GROUPED_BIB_VIEW);
             // Apply to sources; timing covers only recomputation.
             let _ = cat
-                .apply_update_script(&datagen::insert_books_script(&cfg, books, 1, Some(1900)))
+                .apply_batch(
+                    &UpdateBatch::from_script(&datagen::insert_books_script(
+                        &cfg,
+                        books,
+                        1,
+                        Some(1900),
+                    ))
+                    .unwrap(),
+                )
                 .unwrap();
             cat
         },
@@ -47,7 +56,7 @@ fn main() {
             (cat, datagen::delete_books_script(0, 1))
         },
         |(mut cat, script)| {
-            let _ = cat.apply_update_script(&script).unwrap();
+            let _ = cat.apply_batch(&UpdateBatch::from_script(&script).unwrap()).unwrap();
             cat
         },
     );

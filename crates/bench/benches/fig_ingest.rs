@@ -1,4 +1,4 @@
-//! Bench for the ingestion front: one `apply_update_script` call per unit
+//! Bench for the ingestion front: one parse + `apply_batch` call per unit
 //! update vs the same units parsed once and streamed through one
 //! `viewsrv::IngestHub` session with a coalescing window (the `figures`
 //! binary sweeps window sizes).

@@ -13,6 +13,7 @@
 //! (fragment deletion).
 
 use std::time::Instant;
+use viewsrv::UpdateBatch;
 use vpa_bench::*;
 use xat::exec::ExecOptions;
 
@@ -518,7 +519,7 @@ fn fig_recovery() {
     }
 }
 
-/// Ingestion-front sweep (beyond the paper): one `apply_update_script`
+/// Ingestion-front sweep (beyond the paper): one parse + `apply_batch`
 /// call per unit update vs the typed/queued hub-session path, over
 /// growing coalescing windows. `window 1` isolates the typed-batch parse-
 /// once savings; larger windows add the amortized shared-validate and
@@ -809,7 +810,7 @@ fn fig9_6_fragment_delete() {
         // and (d) recompute, for context.
         let script = datagen::delete_year_script(1900);
         let t0 = Instant::now();
-        let _ = cat.apply_update_script(&script).unwrap();
+        let _ = cat.apply_batch(&UpdateBatch::from_script(&script).unwrap()).unwrap();
         let full = t0.elapsed();
         let t1 = Instant::now();
         let oracle = cat.view("v").unwrap().recompute_xml(cat.store()).unwrap();

@@ -11,6 +11,7 @@
 //! figure's *shape* — who wins, how costs break down, how curves trend.
 
 use std::time::{Duration, Instant};
+use viewsrv::UpdateBatch;
 use xat::exec::{ExecOptions, ExecStats, Executor};
 use xat::translate::translate_query;
 use xmlstore::Store;
@@ -246,20 +247,22 @@ pub fn measure_multiview(
     }
     let t0 = Instant::now();
     for s in scripts {
-        let _ = cat.apply_update_script(s).expect("catalog maintenance");
+        let _ =
+            cat.apply_batch(&UpdateBatch::from_script(s).unwrap()).expect("catalog maintenance");
     }
     let catalog = t0.elapsed();
     let stats = cat.stats();
 
     // Catalog, sequential (same routing, no threads).
     let mut seq = viewsrv::ViewCatalog::new(store.clone());
-    seq.set_parallel(false);
+    seq.set_pool(exec::Executor::new(1));
     for (name, q) in queries {
         seq.register(name, q).expect("view registers");
     }
     let t0 = Instant::now();
     for s in scripts {
-        let _ = seq.apply_update_script(s).expect("sequential maintenance");
+        let _ =
+            seq.apply_batch(&UpdateBatch::from_script(s).unwrap()).expect("sequential maintenance");
     }
     let catalog_seq = t0.elapsed();
 
@@ -269,7 +272,8 @@ pub fn measure_multiview(
     let t0 = Instant::now();
     for s in scripts {
         for solo in &mut solos {
-            let _ = solo.apply_update_script(s).expect("naive maintenance");
+            let _ =
+                solo.apply_batch(&UpdateBatch::from_script(s).unwrap()).expect("naive maintenance");
         }
     }
     let naive = t0.elapsed();
@@ -303,7 +307,7 @@ pub fn multiview_workload(cfg: &datagen::BibConfig, batches: usize) -> Vec<Strin
 /// Outcome of one ingestion-front measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct IngestPoint {
-    /// One `apply_update_script` call per unit script (parse + resolve +
+    /// One parse + `apply_batch` call per unit script (parse + resolve +
     /// shared validate + routed refresh, per call).
     pub per_call: Duration,
     /// The same units parsed once into typed batches and streamed through
@@ -338,7 +342,9 @@ pub fn measure_ingest(
     }
     let t0 = Instant::now();
     for u in units {
-        let _ = per_call_cat.apply_update_script(u).expect("per-call maintenance");
+        let _ = per_call_cat
+            .apply_batch(&UpdateBatch::from_script(u).unwrap())
+            .expect("per-call maintenance");
     }
     let per_call = t0.elapsed();
 
@@ -727,11 +733,7 @@ pub fn measure_phases(
 
     // Captured while the hub (and its drain thread) is still live.
     let snapshot = hub.metrics();
-    let inner = hub.shutdown();
-    if let viewsrv::HubInner::Durable(dc) = &inner {
-        dc.verify_all().expect("phase-sweep oracle");
-    }
-    drop(inner);
+    hub.shutdown().catalog().verify_all().expect("phase-sweep oracle");
     let _ = std::fs::remove_dir_all(dir);
     PhasePoint { snapshot, chunks_applied, ops }
 }
@@ -898,10 +900,7 @@ pub fn measure_reads(
     // own frozen store, and the shut-down catalog passes the full oracle.
     let final_epoch = hub.read_handle().pin();
     final_epoch.verify().expect("final epoch oracle");
-    match hub.shutdown() {
-        viewsrv::HubInner::Volatile(cat) => cat.verify_all().expect("reads oracle"),
-        viewsrv::HubInner::Durable(_) => unreachable!("volatile bench catalog"),
-    }
+    hub.shutdown().catalog().verify_all().expect("reads oracle");
 
     lat.sort_unstable();
     stale.sort_unstable();

@@ -22,8 +22,10 @@
 
 use client::load::{self, LoadConfig};
 use client::{Client, ClientError};
+use proto::{ErrorKind, WireErr};
 use std::io::Write;
 use std::time::Duration;
+use xquery_lang::UpdateBatch;
 
 fn usage(msg: &str) -> ! {
     eprintln!("xqview-cli: {msg}");
@@ -83,8 +85,14 @@ fn main() {
         }
         "submit" => {
             let [script] = rest else { usage("submit SCRIPT") };
+            // Scripts are parsed here, at the edge; the wire carries the
+            // typed batch. A bad script fails before any connection is
+            // made, reported as a catalog error.
+            let batch = UpdateBatch::from_script(&text_arg(script)).unwrap_or_else(|e| {
+                fail(ClientError::Server(WireErr::new(ErrorKind::Catalog).detail(e.to_string())))
+            });
             let mut c = connect(&addr);
-            let (batches, ops) = c.submit_script(&text_arg(script)).unwrap_or_else(|e| fail(e));
+            let (batches, ops) = c.submit(&batch).unwrap_or_else(|e| fail(e));
             // One-shot CLI session: commit before the connection drops so
             // the submission is applied and durable, not fire-and-forget.
             let r = c.commit().unwrap_or_else(|e| fail(e));

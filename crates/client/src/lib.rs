@@ -5,14 +5,16 @@
 //!
 //! ```no_run
 //! use client::Client;
+//! use xquery_lang::UpdateBatch;
 //!
 //! let mut c = Client::connect("127.0.0.1:7464", "example").unwrap();
 //! c.register_view("y1900", r#"<r>{ for $b in doc("bib.xml")/bib/book
 //!     where $b/@year = "1994" return <hit>{$b/title}</hit> }</r>"#)
 //! .unwrap();
-//! c.submit_script(r#"for $r in doc("bib.xml")/bib update $r
+//! let batch = UpdateBatch::from_script(r#"for $r in doc("bib.xml")/bib update $r
 //!     insert <book year="1994"><title>New</title></book> into $r"#)
 //! .unwrap();
+//! c.submit(&batch).unwrap();
 //! let receipt = c.commit().unwrap();
 //! assert_eq!(receipt.batches_submitted, 1);
 //! let extent = c.query_view("y1900").unwrap();
@@ -277,7 +279,8 @@ impl Client {
         }
     }
 
-    /// Enqueue a typed batch into this connection's server-side session.
+    /// Enqueue a typed batch into this connection's server-side session
+    /// (scripts are parsed at the edge: [`UpdateBatch::from_script`]).
     /// Takes the batch by reference (encoded borrowed), so on
     /// [`ErrorKind::QueueFull`] the caller still owns it and can commit
     /// then resubmit. Returns `(queued_batches, queued_ops)`.
@@ -289,14 +292,6 @@ impl Client {
             Response::Submitted { queued_batches, queued_ops } => Ok((queued_batches, queued_ops)),
             other => Err(unexpected("Submitted", other)),
         }
-    }
-
-    /// Parse an update script locally and [`submit`](Client::submit) it.
-    pub fn submit_script(&mut self, script: &str) -> Result<(u64, u64), ClientError> {
-        let batch = UpdateBatch::from_script(script).map_err(|e| {
-            ClientError::Server(WireErr::new(ErrorKind::Catalog).detail(e.to_string()))
-        })?;
-        self.submit(&batch)
     }
 
     /// Nudge a server drain round (no durability wait). Returns the

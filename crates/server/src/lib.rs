@@ -241,29 +241,32 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
 
+    /// Flag every loop, then join the accept thread and every connection
+    /// thread (each finishes its in-flight request first).
+    fn stop_threads(&mut self) {
+        self.request_stop();
+        if let Some(h) = self.accept.take() {
+            for c in h.join().unwrap_or_default() {
+                let _ = c.join();
+            }
+        }
+    }
+
     /// Graceful shutdown: stop accepting, join every connection thread
     /// (each finishes its in-flight request), drain and shut the hub
     /// down, and — durable catalogs — seal the WAL with a final snapshot
     /// so the next open replays nothing. Returns the catalog for
     /// inspection; `None` if the hub was already gone.
     pub fn shutdown(mut self) -> Option<HubInner> {
-        self.request_stop();
-        if let Some(h) = self.accept.take() {
-            let conns = h.join().unwrap_or_default();
-            for c in conns {
-                let _ = c.join();
-            }
-        }
+        self.stop_threads();
         // A poisoned lock just means some handler panicked mid-read; the
         // hub itself is still sound, so shut it down rather than join
         // the panic.
         let hub =
             self.shared.hub.write().unwrap_or_else(std::sync::PoisonError::into_inner).take()?;
         let mut inner = hub.shutdown();
-        if let HubInner::Durable(dc) = &mut inner {
-            if let Err(e) = dc.snapshot() {
-                eprintln!("xqview-server: final snapshot failed: {e}");
-            }
+        if let Err(e) = inner.final_snapshot() {
+            eprintln!("xqview-server: final snapshot failed: {e}");
         }
         Some(inner)
     }
@@ -273,13 +276,7 @@ impl Drop for Server {
     /// Non-graceful stop (prefer [`Server::shutdown`]): flags every loop
     /// and joins the accept thread so no thread outlives the value.
     fn drop(&mut self) {
-        self.request_stop();
-        if let Some(h) = self.accept.take() {
-            let conns = h.join().unwrap_or_default();
-            for c in conns {
-                let _ = c.join();
-            }
-        }
+        self.stop_threads();
     }
 }
 
@@ -495,26 +492,12 @@ fn dispatch(
             )
         }
         Request::RegisterView { name, query } => {
-            let r = hub.with_inner(|inner| match inner {
-                HubInner::Volatile(cat) => cat.register(&name, &query).map_err(catalog_err),
-                HubInner::Durable(dc) => dc.register(&name, &query).map_err(durability_err),
-            });
-            match r {
-                None => (Response::Error(WireErr::new(ErrorKind::HubClosed)), true),
-                Some(Err(e)) => (Response::Error(e), false),
-                Some(Ok(())) => (Response::Registered { name }, false),
-            }
+            let r = hub.with_inner(|inner| inner.register(&name, &query));
+            control_reply(r, Response::Registered { name })
         }
         Request::DropView { name } => {
-            let r = hub.with_inner(|inner| match inner {
-                HubInner::Volatile(cat) => cat.drop_view(&name).map_err(catalog_err),
-                HubInner::Durable(dc) => dc.drop_view(&name).map_err(durability_err),
-            });
-            match r {
-                None => (Response::Error(WireErr::new(ErrorKind::HubClosed)), true),
-                Some(Err(e)) => (Response::Error(e), false),
-                Some(Ok(())) => (Response::Dropped { name }, false),
-            }
+            let r = hub.with_inner(|inner| inner.drop_view(&name));
+            control_reply(r, Response::Dropped { name })
         }
         Request::Submit(batch) => {
             let handle = session.get_or_insert_with(|| hub.handle());
@@ -561,6 +544,16 @@ fn dispatch(
             shared.stop.store(true, Ordering::SeqCst);
             (Response::ShuttingDown, true)
         }
+    }
+}
+
+/// Answer a control-plane mutation run through [`IngestHub::with_inner`]
+/// (`None`: the hub has shut down).
+fn control_reply(r: Option<Result<(), DurabilityError>>, ok: Response) -> (Response, bool) {
+    match r {
+        None => (Response::Error(WireErr::new(ErrorKind::HubClosed)), true),
+        Some(Err(e)) => (Response::Error(durability_err(e)), false),
+        Some(Ok(())) => (ok, false),
     }
 }
 

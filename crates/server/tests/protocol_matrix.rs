@@ -88,7 +88,8 @@ fn hello_bytes(name: &str) -> Vec<u8> {
 /// Drive the shared good client through a full useful round trip — the
 /// "hub still healthy" probe between abuse cases.
 fn assert_healthy(good: &mut Client, round: usize) {
-    good.submit_script(SCRIPT).unwrap_or_else(|e| panic!("round {round}: submit failed: {e}"));
+    let batch = viewsrv::UpdateBatch::from_script(SCRIPT).unwrap();
+    good.submit(&batch).unwrap_or_else(|e| panic!("round {round}: submit failed: {e}"));
     let r = good.commit().unwrap_or_else(|e| panic!("round {round}: commit failed: {e}"));
     assert_eq!(r.batches_submitted, 1, "round {round}");
     let extent =
@@ -283,14 +284,7 @@ fn malformed_input_matrix() {
     assert_eq!(stats.views, vec!["y1900"]);
 
     // The hub shuts down cleanly after all of it.
-    let inner = srv.shutdown().expect("hub intact");
-    match inner {
-        viewsrv::HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        other => {
-            let _ = other;
-            panic!("expected the volatile catalog back")
-        }
-    }
+    srv.shutdown().expect("hub intact").catalog().verify_all().unwrap();
 }
 
 /// A legitimate frame whose bytes span many poll ticks must be

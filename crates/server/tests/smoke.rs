@@ -204,12 +204,7 @@ fn graceful_shutdown_seals_the_wal() {
     c.shutdown_server().unwrap();
 
     assert!(srv.stop_requested(), "client Shutdown must set the server's stop flag");
-    let inner = srv.shutdown().expect("hub still owned");
-    let sealed = match inner {
-        viewsrv::HubInner::Durable(dc) => dc,
-        _ => panic!("expected the durable catalog back"),
-    };
-    drop(sealed);
+    drop(srv.shutdown().expect("hub still owned"));
 
     let reopened = DurableCatalog::open(&dir).unwrap();
     assert_eq!(

@@ -266,7 +266,6 @@ impl Snapshot {
 /// records (see the [module docs](self) for the record format).
 pub struct Wal {
     file: File,
-    path: PathBuf,
     bytes: u64,
     records: usize,
     /// Set once this generation is sealed — or when a failed seal could
@@ -310,14 +309,26 @@ pub struct WalRecovery {
     pub seal: Option<SealRecord>,
 }
 
+/// One read-only pass over a WAL segment (see [`Wal::scan`]).
+struct SegmentScan {
+    /// Every decodable batch record with the byte offset just past it.
+    batches: Vec<(UpdateBatch, u64)>,
+    /// The seal closing the segment, when it ends in one.
+    seal: Option<SealRecord>,
+    /// Length of the valid prefix.
+    valid: u64,
+    /// Length of the file as read.
+    len: u64,
+}
+
 impl Wal {
-    /// Open (or create) the log at `path`, scan its frames, decode the
-    /// records, and truncate any torn suffix so appends continue from a
-    /// clean tail. A [`wire::SealRecord`] ends the segment: anything
-    /// after it is treated as torn.
-    pub fn recover(path: impl Into<PathBuf>) -> std::io::Result<WalRecovery> {
-        let path = path.into();
-        let raw = match fs::read(&path) {
+    /// Read and decode the segment at `path` without writing anything (a
+    /// missing file is an empty segment) — the one scan behind
+    /// [`Wal::recover`] and the snapshot-fallback probes of
+    /// [`DurableCatalog::open`]. A [`wire::SealRecord`] ends the segment:
+    /// anything after it is treated as torn.
+    fn scan(path: &Path) -> std::io::Result<SegmentScan> {
+        let raw = match fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
@@ -345,17 +356,26 @@ impl Wal {
                 }
             }
         }
+        Ok(SegmentScan { batches, seal, valid: valid as u64, len: raw.len() as u64 })
+    }
+
+    /// Open (or create) the log at `path`, scan its frames, decode the
+    /// records, and truncate any torn suffix so appends continue from a
+    /// clean tail. A [`wire::SealRecord`] ends the segment: anything
+    /// after it is treated as torn.
+    pub fn recover(path: impl Into<PathBuf>) -> std::io::Result<WalRecovery> {
+        let path = path.into();
+        let scan = Wal::scan(&path)?;
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        file.set_len(valid as u64)?;
-        file.seek(SeekFrom::Start(valid as u64))?;
-        let records = batches.len();
-        let discarded_bytes = raw.len() as u64 - valid as u64;
+        file.set_len(scan.valid)?;
+        file.seek(SeekFrom::Start(scan.valid))?;
+        let records = scan.batches.len();
         Ok(WalRecovery {
-            wal: Wal { file, path, bytes: valid as u64, records, sealed: seal.is_some(), m: None },
-            batches,
-            discarded_bytes,
-            seal,
+            wal: Wal { file, bytes: scan.valid, records, sealed: scan.seal.is_some(), m: None },
+            batches: scan.batches,
+            discarded_bytes: scan.len - scan.valid,
+            seal: scan.seal,
         })
     }
 
@@ -364,7 +384,7 @@ impl Wal {
         let path = path.into();
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        Ok(Wal { file, path, bytes: 0, records: 0, sealed: false, m: None })
+        Ok(Wal { file, bytes: 0, records: 0, sealed: false, m: None })
     }
 
     /// Attach latency instrumentation (see [`WalIo`]).
@@ -451,11 +471,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Empty the log (checkpoint rotation).
-    pub fn reset(&mut self) -> std::io::Result<()> {
-        self.truncate_to(0, 0)
-    }
-
     /// Current log length in bytes.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -466,57 +481,10 @@ impl Wal {
         self.records
     }
 
-    /// The log file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// A second handle onto the log file, for the group committer: fsync
     /// on the clone syncs the same inode, without sharing `&mut Wal`.
     fn file_clone(&self) -> std::io::Result<File> {
         self.file.try_clone()
-    }
-
-    /// Count the committed (decodable) batch records in the log at `path`
-    /// without opening it for writing or truncating anything — the
-    /// read-only probe [`DurableCatalog::open`] uses before deciding a
-    /// snapshot fallback is safe.
-    fn probe_records(path: &Path) -> std::io::Result<usize> {
-        let raw = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let (spans, _) = frame::scan_frames(&raw);
-        let mut n = 0;
-        for (s, e) in spans {
-            match wire::from_slice::<SegmentRecord<UpdateBatch>>(&raw[s..e]) {
-                Ok(SegmentRecord::Payload(_)) => n += 1,
-                _ => break,
-            }
-        }
-        Ok(n)
-    }
-
-    /// Read-only probe for the seal closing the log at `path`: `Some`
-    /// only when the log's last valid record is a [`wire::SealRecord`] —
-    /// the marker that the generation was completely chained into its
-    /// successor and can safely be replayed during a snapshot fallback.
-    fn probe_seal(path: &Path) -> std::io::Result<Option<SealRecord>> {
-        let raw = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let (spans, _) = frame::scan_frames(&raw);
-        for (s, e) in spans {
-            match wire::from_slice::<SegmentRecord<UpdateBatch>>(&raw[s..e]) {
-                Ok(SegmentRecord::Payload(_)) => continue,
-                Ok(SegmentRecord::Seal(seal)) => return Ok(Some(seal)),
-                Err(_) => return Ok(None),
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -846,10 +814,11 @@ fn list_seqs(dir: &Path, prefix: &str) -> std::io::Result<Vec<u64>> {
 /// True when every generation in `[from, to)` is sealed into its direct
 /// successor — i.e. replaying `wal-from … wal-(to-1)` onto `snap-from`
 /// reconstructs exactly the state `snap-to` captured, so a corrupt
-/// `snap-to` can be skipped without losing acknowledged commits.
+/// `snap-to` can be skipped without losing acknowledged commits. A
+/// segment counts as sealed only when its last valid record is the seal.
 fn chain_intact(dir: &Path, from: u64, to: u64) -> std::io::Result<bool> {
     for g in from..to {
-        match Wal::probe_seal(&wal_path(dir, g))? {
+        match Wal::scan(&wal_path(dir, g))?.seal {
             Some(seal) if seal.sealed_gen == g && seal.next_gen == g + 1 => {}
             _ => return Ok(false),
         }
@@ -976,7 +945,7 @@ impl DurableCatalog {
                     // unchained rotation (admin mutation) lives in the
                     // snapshot alone. Refusing beats silently dropping
                     // fsync-acknowledged commits.
-                    let committed = Wal::probe_records(&wal_path(&dir, seq))?;
+                    let committed = Wal::scan(&wal_path(&dir, seq))?.batches.len();
                     if committed > 0 {
                         return Err(DurabilityError::Corrupt(format!(
                             "{}: snapshot is corrupt but its WAL holds {committed} committed \
@@ -1232,14 +1201,6 @@ impl DurableCatalog {
         WalSyncStats { fsyncs: self.m.gc.fsyncs.get(), synced_commits: self.m.gc.commits.get() }
     }
 
-    /// Capture a live [`obs::MetricsSnapshot`]: this catalog's registry
-    /// (phase, WAL, and checkpoint series) merged with the process-global
-    /// registry (executor pool, `span/*` tracing). Never stops writers —
-    /// the commit path records through lock-free atomics.
-    pub fn metrics(&self) -> obs::MetricsSnapshot {
-        self.catalog.metrics()
-    }
-
     /// Replace the auto-checkpoint policy (see [`RotatePolicy`];
     /// [`RotatePolicy::disabled`] restores the pre-policy behavior).
     pub fn set_rotate_policy(&mut self, policy: RotatePolicy) {
@@ -1346,10 +1307,7 @@ impl DurableCatalog {
         // so the switch to the successor has to be infallible from there.
         // A leftover empty `wal-<new>` from an attempt that fails at the
         // seal is harmless — recovery only follows seals and snapshots.
-        let mut wal = Wal::create(wal_path(&self.dir, new))?;
-        wal.attach_metrics(self.m.wal_io.clone());
-        wal.sync()?;
-        let gc = Arc::new(GroupCommit::new(wal.file_clone()?, wal.bytes(), self.m.gc.clone()));
+        let (wal, gc) = self.next_log(new)?;
         // Seal + fsync: from here the old generation is a complete,
         // chain-replayable segment (and rejects appends). The seal's
         // fsync also hardens any record a concurrent group commit has
@@ -1399,6 +1357,18 @@ impl DurableCatalog {
         Ok(Some(new))
     }
 
+    /// The first step of every rotation, taken before anything makes
+    /// generation `gen` authoritative: create its empty log with this
+    /// catalog's WAL metrics attached, fsync it, and build its group
+    /// committer (the cumulative counters carry over).
+    fn next_log(&self, gen: u64) -> Result<(Wal, Arc<GroupCommit>), DurabilityError> {
+        let mut wal = Wal::create(wal_path(&self.dir, gen))?;
+        wal.attach_metrics(self.m.wal_io.clone());
+        wal.sync()?;
+        let gc = Arc::new(GroupCommit::new(wal.file_clone()?, wal.bytes(), self.m.gc.clone()));
+        Ok((wal, gc))
+    }
+
     /// Rotate to a new checkpoint generation **synchronously**: write a
     /// fresh snapshot atomically, start an empty WAL, and prune
     /// generations older than the previous snapshot (kept as a
@@ -1419,9 +1389,7 @@ impl DurableCatalog {
         // stranded in a log recovery would not read. A leftover empty
         // `wal-<new>` from a failed attempt is harmless — recovery keys
         // off the newest *snapshot*.
-        let mut wal = Wal::create(wal_path(&self.dir, new))?;
-        wal.attach_metrics(self.m.wal_io.clone());
-        wal.sync()?;
+        let (wal, gc) = self.next_log(new)?;
         let capture_start = Instant::now();
         let snap = Snapshot::capture(&self.catalog);
         self.m.ckpt.capture.record_duration(capture_start.elapsed());
@@ -1430,7 +1398,7 @@ impl DurableCatalog {
         // cumulative counters carry over. A committer still waiting on the
         // old generation's `GroupCommit` keeps a handle to the old file —
         // its fsync stays valid (the fd outlives any pruning).
-        self.gc = Arc::new(GroupCommit::new(wal.file_clone()?, wal.bytes(), self.m.gc.clone()));
+        self.gc = gc;
         self.wal = wal;
         self.seq = new;
         self.snap_seq = new;
@@ -1460,7 +1428,7 @@ impl Drop for DurableCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HubConfig, HubInner, IngestError, UpdateOp};
+    use crate::{HubConfig, IngestError, UpdateOp};
     use xquery_lang::InsertPosition;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1480,6 +1448,14 @@ mod tests {
         for $b in doc("bib.xml")/bib/book where $b/@year = "1994"
         return <hit>{$b/title}</hit>
     }</r>"#;
+
+    /// Rot a file on disk: flip one bit pattern in its middle byte.
+    fn flip_middle_byte(path: &Path) {
+        let mut raw = fs::read(path).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x5a;
+        fs::write(path, &raw).unwrap();
+    }
 
     fn insert_op(i: usize) -> UpdateOp {
         UpdateOp::insert(
@@ -1601,11 +1577,7 @@ mod tests {
 
         // Corrupt the newest snapshot: recovery must fall back to the
         // previous generation and replay its WAL.
-        let snap = snap_path(&dir, newest);
-        let mut raw = fs::read(&snap).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x5a;
-        fs::write(&snap, &raw).unwrap();
+        flip_middle_byte(&snap_path(&dir, newest));
 
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, prev);
@@ -1629,11 +1601,7 @@ mod tests {
         // …whose snapshot then rots on disk. Falling back a generation
         // would silently lose the acknowledged batch (it cannot be
         // chain-replayed onto the older snapshot), so open must refuse.
-        let snap = snap_path(&dir, newest);
-        let mut raw = fs::read(&snap).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x5a;
-        fs::write(&snap, &raw).unwrap();
+        flip_middle_byte(&snap_path(&dir, newest));
         let Err(err) = DurableCatalog::open(&dir) else { panic!("open must refuse") };
         assert!(
             matches!(&err, DurabilityError::Corrupt(msg) if msg.contains("refusing to fall back")),
@@ -1879,11 +1847,7 @@ mod tests {
         // …then its snapshot rots. The sealed predecessor log is still on
         // disk (pruning keeps the previous snapshot's chain), so recovery
         // reconstructs the exact same state instead of refusing.
-        let snap = snap_path(&dir, newest);
-        let mut raw = fs::read(&snap).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x5a;
-        fs::write(&snap, &raw).unwrap();
+        flip_middle_byte(&snap_path(&dir, newest));
 
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().snapshot_seq, newest - 1);
@@ -1967,11 +1931,11 @@ mod tests {
         assert_eq!(receipt.batches_submitted, 6);
         assert_eq!(receipt.batches_applied, 2, "6 one-op submissions over a 4-op window");
         drop(session);
-        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
+        let inner = hub.shutdown();
         // The WAL holds the *applied* chunks, not the submissions.
-        assert_eq!(cat.wal_records(), receipt.batches_applied);
-        let want = cat.catalog().extent_xml("titles").unwrap();
-        drop(cat);
+        assert_eq!(inner.marks().wal_records, receipt.batches_applied as u64);
+        let want = inner.catalog().extent_xml("titles").unwrap();
+        drop(inner);
         let cat = DurableCatalog::open(&dir).unwrap();
         assert_eq!(cat.recovery().replayed_batches, 2);
         assert_eq!(cat.catalog().extent_xml("titles").unwrap(), want);
@@ -1995,9 +1959,9 @@ mod tests {
         assert_eq!(session.queued_batches(), 1, "failing chunk requeued");
         assert_eq!(session.discard_queued().len(), 1);
         drop(session);
-        let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
-        assert_eq!(cat.wal_records(), 0, "failed chunk rolled back out of the log");
-        cat.verify_all().unwrap();
+        let inner = hub.shutdown();
+        assert_eq!(inner.marks().wal_records, 0, "failed chunk rolled back out of the log");
+        inner.catalog().verify_all().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -307,9 +307,9 @@ impl EpochMetrics {
 
 /// The single-writer side of the epoch path: owns the current [`Epoch`]
 /// behind an `ArcCell` and a published-sequence counter. The hub
-/// publishes after every applied drain round (and optionally on an idle
-/// timer, [`crate::HubConfig::epoch_ms`]); any number of
-/// [`ReadHandle`]s subscribe.
+/// publishes after every applied drain round and every
+/// [`crate::IngestHub::with_inner`] call, so epochs move only with
+/// changes; any number of [`ReadHandle`]s subscribe.
 ///
 /// Publishing is not synchronized internally — the hub's catalog
 /// ownership is the serialization (whoever can publish a consistent
@@ -352,38 +352,6 @@ impl EpochPublisher {
         self.m.publish.record_duration(swapped);
         drop(superseded);
         self.m.retire.record_duration(t0.elapsed() - swapped);
-    }
-
-    /// [`EpochPublisher::start`] from a [`crate::HubInner`], deriving
-    /// the durability marks from the catalog flavor — the hub's
-    /// construction path.
-    pub fn start_inner(
-        registry: &obs::MetricsRegistry,
-        inner: &crate::HubInner,
-    ) -> Arc<EpochPublisher> {
-        let (catalog, marks) = Self::split_inner(inner);
-        EpochPublisher::start(registry, catalog, marks)
-    }
-
-    /// Publish from a checked-out [`crate::HubInner`], deriving the
-    /// durability marks from the catalog flavor.
-    pub fn publish_inner(&self, inner: &crate::HubInner) {
-        let (catalog, marks) = Self::split_inner(inner);
-        self.publish(catalog, marks);
-    }
-
-    fn split_inner(inner: &crate::HubInner) -> (&ViewCatalog, DurableMarks) {
-        match inner {
-            crate::HubInner::Volatile(cat) => (cat, DurableMarks::default()),
-            crate::HubInner::Durable(dc) => (
-                dc.catalog(),
-                DurableMarks {
-                    generation: dc.generation(),
-                    wal_records: dc.wal_records() as u64,
-                    wal_bytes: dc.wal_bytes(),
-                },
-            ),
-        }
     }
 
     /// Sequence of the most recently published epoch.
@@ -633,12 +601,9 @@ mod tests {
         before.verify().unwrap();
 
         // Mutate the live catalog; the pinned epoch must not move.
-        let _ = cat
-            .apply_update_script(
-                r#"for $r in document("bib.xml")/bib update $r
-               insert <book year="2001"><title>C</title></book> into $r"#,
-            )
-            .unwrap();
+        let script = r#"for $r in document("bib.xml")/bib update $r
+               insert <book year="2001"><title>C</title></book> into $r"#;
+        let _ = cat.apply_batch(&crate::UpdateBatch::from_script(script).unwrap()).unwrap();
         assert!(!before.extent_xml("all").unwrap().contains("C"), "pinned epoch moved");
         before.verify().unwrap();
 

@@ -274,7 +274,6 @@ pub struct ViewCatalog {
     /// document name → indices into `slots` of views reading it.
     doc_index: BTreeMap<String, Vec<usize>>,
     stats: ServiceStats,
-    parallel: bool,
     /// Worker pool for the per-view propagate/apply rounds (shared with
     /// each registered view's per-term fan-out).
     pool: exec::Executor,
@@ -297,7 +296,6 @@ impl ViewCatalog {
             slots: Vec::new(),
             doc_index: BTreeMap::new(),
             stats: ServiceStats::default(),
-            parallel: true,
             pool: exec::Executor::global().clone(),
             registry,
             m,
@@ -322,38 +320,15 @@ impl ViewCatalog {
         snap
     }
 
-    /// Disable/enable pooled parallelism (the bench baseline runs the
-    /// identical routed pipeline sequentially on the calling thread).
-    /// Disabling covers *both* levels: the per-view rounds stay on the
-    /// caller, and every registered view's per-term fan-out is pinned to
-    /// a one-lane pool.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-        let effective = self.effective_view_pool();
-        for slot in &mut self.slots {
-            slot.view.set_pool(effective.clone());
-        }
-    }
-
     /// Pin the catalog — and every registered view's per-term fan-out —
     /// to `pool` instead of the global one (tests and benches compare
     /// pool sizes inside one process; `exec::Executor::new(1)` forces
-    /// fully serial, deterministic execution).
+    /// fully serial, deterministic execution: no round fans out and every
+    /// view's IMP terms run on the calling thread).
     pub fn set_pool(&mut self, pool: exec::Executor) {
         self.pool = pool;
-        let effective = self.effective_view_pool();
         for slot in &mut self.slots {
-            slot.view.set_pool(effective.clone());
-        }
-    }
-
-    /// The pool views fan their IMP terms out on: the catalog's pool, or
-    /// a one-lane (inline, thread-free) pool when parallelism is off.
-    fn effective_view_pool(&self) -> exec::Executor {
-        if self.parallel {
-            self.pool.clone()
-        } else {
-            exec::Executor::new(1)
+            slot.view.set_pool(self.pool.clone());
         }
     }
 
@@ -401,7 +376,7 @@ impl ViewCatalog {
     /// the slot (pinned to the catalog's pool) and rebuild the relevancy
     /// index together, so the two can never diverge.
     fn commit_slot(&mut self, name: &str, mut view: MaintView) {
-        view.set_pool(self.effective_view_pool());
+        view.set_pool(self.pool.clone());
         let phase = SlotMetrics {
             validate: self.registry.histogram(&format!("view/{name}/validate")),
             propagate: self.registry.histogram(&format!("view/{name}/propagate")),
@@ -505,19 +480,12 @@ impl ViewCatalog {
         self.stats
     }
 
-    /// Parse an XQuery-update script and maintain every registered view —
-    /// thin legacy wrapper over [`UpdateBatch::from_script`] +
-    /// [`ViewCatalog::apply_batch`]; prefer constructing the typed batch
-    /// once and keeping the receipt.
-    pub fn apply_update_script(&mut self, script: &str) -> Result<ServiceStats, CatalogError> {
-        Ok(self.apply_batch(&UpdateBatch::from_script(script)?)?.stats)
-    }
-
     /// Maintain every registered view for one typed update batch: resolve
     /// the ops once against the shared store (counted into the shared
     /// Validate phase), route them through the relevancy index, and run the
     /// parallel propagate/apply rounds. Returns the structured
-    /// [`BatchReceipt`].
+    /// [`BatchReceipt`]. Scripts are parsed at the edge:
+    /// [`UpdateBatch::from_script`] first.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<BatchReceipt, CatalogError> {
         let t0 = Instant::now();
         let resolved = update::resolve_batch(&self.store, batch)?;
@@ -822,8 +790,7 @@ impl ViewCatalog {
     /// by the batch alone, never by timing, so a round runs the same way
     /// every time.
     fn fans_out(&self, roots_per_view: &BTreeMap<usize, Vec<FlexKey>>) -> bool {
-        self.parallel
-            && self.pool.threads() > 1
+        self.pool.threads() > 1
             && roots_per_view.len() > 1
             && roots_per_view.values().any(|roots| roots.len() > 1)
     }
@@ -953,6 +920,10 @@ mod tests {
         cat
     }
 
+    fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+        cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+    }
+
     #[test]
     fn register_materializes_and_indexes() {
         let cat = catalog();
@@ -1053,12 +1024,11 @@ mod tests {
     #[test]
     fn insert_routes_only_to_relevant_views() {
         let mut cat = catalog();
-        let batch = cat
-            .apply_update_script(
-                r#"for $r in document("prices.xml")/prices update $r
+        let batch = apply(
+            &mut cat,
+            r#"for $r in document("prices.xml")/prices update $r
                    insert <entry><price>9.99</price><b-title>New</b-title></entry> into $r"#,
-            )
-            .unwrap();
+        );
         // flat (bib-only) is skipped; join + prices_only are routed.
         assert_eq!(batch.views_skipped, 1);
         assert_eq!(batch.views_routed, 2);
@@ -1069,23 +1039,24 @@ mod tests {
     #[test]
     fn mixed_batch_maintains_all_views() {
         let mut cat = catalog();
-        let _ = cat
-            .apply_update_script(
-                r#"for $r in document("bib.xml")/bib update $r
+        let _ = apply(
+            &mut cat,
+            r#"for $r in document("bib.xml")/bib update $r
                insert <book year="1994"><title>Advanced Programming</title></book> into $r ;
                for $b in document("bib.xml")/bib/book where $b/title = "Data on the Web"
                update $b delete $b ;
                for $e in document("prices.xml")/prices/entry
                where $e/b-title = "TCP/IP Illustrated"
                update $e replace $e/price/text() with "70.00""#,
-            )
-            .unwrap();
+        );
         cat.verify_all().unwrap();
         assert!(cat.extent_xml("flat").unwrap().contains("Advanced Programming"));
         assert!(!cat.extent_xml("join").unwrap().contains("Data on the Web"));
         assert!(cat.extent_xml("join").unwrap().contains("70.00"));
     }
 
+    /// A one-lane pool (the sequential mode) and a wide one produce the
+    /// same extents.
     #[test]
     fn sequential_mode_matches_parallel() {
         let script = r#"for $r in document("bib.xml")/bib update $r
@@ -1093,10 +1064,11 @@ mod tests {
                for $b in document("bib.xml")/bib/book where $b/@year = "2000"
                update $b delete $b"#;
         let mut a = catalog();
+        a.set_pool(exec::Executor::new(4));
         let mut b = catalog();
-        b.set_parallel(false);
-        let _ = a.apply_update_script(script).unwrap();
-        let _ = b.apply_update_script(script).unwrap();
+        b.set_pool(exec::Executor::new(1));
+        let _ = apply(&mut a, script);
+        let _ = apply(&mut b, script);
         for name in ["flat", "join", "prices_only"] {
             assert_eq!(a.extent_xml(name).unwrap(), b.extent_xml(name).unwrap());
         }
@@ -1106,7 +1078,7 @@ mod tests {
 
     /// The fan-out rule reads the round's roots and nothing else: one
     /// root per view stays inline on any pool, a second root for some
-    /// view fans out, and a one-lane pool or `set_parallel(false)` never does.
+    /// view fans out on a pool of 4, and a one-lane pool never does.
     #[test]
     fn single_update_rounds_stay_inline() {
         let key = |cat: &ViewCatalog| cat.store().doc_root("bib.xml").unwrap();
@@ -1122,11 +1094,10 @@ mod tests {
         assert!(!cat.fans_out(&one));
         assert!(cat.fans_out(&two));
         assert!(!cat.fans_out(&lone_view), "one job has nothing to fan out");
-        cat.set_parallel(false);
-        assert!(!cat.fans_out(&two));
-        cat.set_parallel(true);
         cat.set_pool(exec::Executor::new(1));
+        assert!(!cat.fans_out(&one));
         assert!(!cat.fans_out(&two));
+        assert!(!cat.fans_out(&lone_view));
     }
 
     #[test]
@@ -1136,24 +1107,22 @@ mod tests {
         // title as exposed content only, so the re-routed delete+insert must
         // reach flat too or its extent keeps stale keys.
         let mut cat = catalog();
-        let batch = cat
-            .apply_update_script(
-                r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994"
+        let batch = apply(
+            &mut cat,
+            r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994"
                    update $b replace $b/title/text() with "Data on the Web""#,
-            )
-            .unwrap();
+        );
         assert_eq!(batch.widened_modifies, 1);
         assert_eq!(batch.fast_modifies, 0);
         cat.verify_all().unwrap();
         // The retitled book now joins with the other price entry.
         assert!(cat.extent_xml("join").unwrap().contains("39.95"));
         // And later maintenance over the re-keyed fragment still works.
-        let _ = cat
-            .apply_update_script(
-                r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994"
+        let _ = apply(
+            &mut cat,
+            r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994"
                update $b delete $b"#,
-            )
-            .unwrap();
+        );
         cat.verify_all().unwrap();
     }
 
@@ -1194,18 +1163,16 @@ mod tests {
     #[test]
     fn stats_accumulate_across_batches() {
         let mut cat = catalog();
-        let _ = cat
-            .apply_update_script(
-                r#"for $r in document("prices.xml")/prices update $r
+        let _ = apply(
+            &mut cat,
+            r#"for $r in document("prices.xml")/prices update $r
                insert <entry><price>1.00</price><b-title>X</b-title></entry> into $r"#,
-            )
-            .unwrap();
-        let _ = cat
-            .apply_update_script(
-                r#"for $e in document("prices.xml")/prices/entry where $e/b-title = "X"
+        );
+        let _ = apply(
+            &mut cat,
+            r#"for $e in document("prices.xml")/prices/entry where $e/b-title = "X"
                update $e delete $e"#,
-            )
-            .unwrap();
+        );
         let s = cat.stats();
         assert_eq!(s.batches, 2);
         assert_eq!(s.updates_seen, 2);

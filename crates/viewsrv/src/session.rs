@@ -33,13 +33,25 @@
 //! submission. Submissions whose ops target nodes created by an earlier
 //! queued submission should be separated by a `commit` (the sequencing
 //! boundary, exactly like a barrier in a write pipeline).
+//!
+//! As in the paper's VPA pipeline (§1.4), one thread at a time drives the
+//! catalog: every path that needs it — a drain round, [`IngestHub::with_inner`],
+//! the post-fsync WAL rotation, [`IngestHub::shutdown`] — **checks it out**
+//! of the hub state through one private guard that hands it back, and
+//! wakes waiters, when dropped (unwinds included); producers keep
+//! enqueueing meanwhile. A round (1) checks out and pops chunks under one
+//! lock, (2) applies with no lock held, publishes the read epoch, hands the
+//! catalog back and requeues failures before the group fsync, (3) rotates
+//! the WAL after the fsync only if the catalog is home, and (4) settles
+//! receipts. Normal and panicking rounds settle through the same routines;
+//! the volatile/durable fork lives only in [`HubInner`]'s methods.
 
 use crate::durability::{DurabilityError, DurableCatalog, GroupCommit};
-use crate::{BatchReceipt, CatalogError, ServiceStats, UpdateBatch, ViewCatalog};
+use crate::{BatchReceipt, CatalogError, DurableMarks, ServiceStats, UpdateBatch, ViewCatalog};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Ingestion-front failures.
@@ -107,12 +119,6 @@ impl From<DurabilityError> for IngestError {
 impl From<CatalogError> for IngestError {
     fn from(e: CatalogError) -> Self {
         IngestError::Catalog(e)
-    }
-}
-
-impl From<xquery_lang::QueryParseError> for IngestError {
-    fn from(e: xquery_lang::QueryParseError) -> Self {
-        IngestError::Catalog(e.into())
     }
 }
 
@@ -198,14 +204,6 @@ pub struct HubConfig {
     /// calling [`SessionHandle::commit`] never wait for the window —
     /// commit drains its own queue inline.
     pub window_ms: u64,
-    /// Idle epoch republish period, milliseconds. Every applied drain
-    /// round publishes a fresh read [`crate::Epoch`] regardless; with
-    /// `epoch_ms > 0` the drain thread *also* republishes after this
-    /// long without write traffic, so epoch capture timestamps (and the
-    /// `epoch/staleness` histogram) keep tracking wall time on an idle
-    /// catalog. `0` (default) disables the idle timer — epochs then move
-    /// only with writes, which is already fully consistent.
-    pub epoch_ms: u64,
     /// Test-only failpoint: when true, the *next* drain round panics
     /// with the catalog checked out and chunk number
     /// `inject_round_panic_at` mid-apply — the worst point for an
@@ -234,7 +232,6 @@ impl Default for HubConfig {
             queue_capacity: 64,
             window_ops: 256,
             window_ms: 2,
-            epoch_ms: 0,
             inject_round_panic: false,
             inject_round_panic_at: 0,
             inject_round_stall_ms: 0,
@@ -243,10 +240,12 @@ impl Default for HubConfig {
 }
 
 /// The catalog a hub drives — handed back by [`IngestHub::shutdown`].
+/// The honest sum of the two catalogs: every place the hub or a host
+/// must tell them apart is one of the methods below.
 // The variants are moved a handful of times per drain round (check-out /
 // hand-back), where a sub-kilobyte memcpy is noise next to the apply and
 // fsync work; boxing would push the indirection onto every caller that
-// pattern-matches the returned catalog.
+// needs the concrete catalog back.
 #[allow(clippy::large_enum_variant)]
 pub enum HubInner {
     /// In-memory catalog: chunks apply, nothing is journaled.
@@ -264,7 +263,72 @@ impl HubInner {
             HubInner::Durable(d) => d.catalog(),
         }
     }
+
+    /// Define, materialize, and register a view (checkpointed when durable).
+    pub fn register(&mut self, name: &str, query: &str) -> Result<(), DurabilityError> {
+        match self {
+            HubInner::Volatile(cat) => Ok(cat.register(name, query)?),
+            HubInner::Durable(dc) => dc.register(name, query),
+        }
+    }
+
+    /// Drop the view named `name` (checkpointed at once when durable).
+    pub fn drop_view(&mut self, name: &str) -> Result<(), DurabilityError> {
+        match self {
+            HubInner::Volatile(cat) => Ok(cat.drop_view(name)?),
+            HubInner::Durable(dc) => dc.drop_view(name),
+        }
+    }
+
+    /// Seal a shut-down catalog: a durable one writes a synchronous
+    /// [`DurableCatalog::snapshot`] so the next open replays nothing; a
+    /// volatile one has nothing to seal.
+    pub fn final_snapshot(&mut self) -> Result<(), DurabilityError> {
+        match self {
+            HubInner::Volatile(_) => Ok(()),
+            HubInner::Durable(dc) => dc.snapshot().map(|_| ()),
+        }
+    }
+
+    /// Durability position for an epoch capture (zeros when volatile).
+    pub(crate) fn marks(&self) -> DurableMarks {
+        match self {
+            HubInner::Volatile(_) => DurableMarks::default(),
+            HubInner::Durable(dc) => DurableMarks {
+                generation: dc.generation(),
+                wal_records: dc.wal_records() as u64,
+                wal_bytes: dc.wal_bytes(),
+            },
+        }
+    }
+
+    /// Apply one coalesced chunk. A durable catalog journals it
+    /// append-then-apply and also returns its [`SyncPoint`].
+    fn apply_chunk(
+        &mut self,
+        chunk: &UpdateBatch,
+    ) -> Result<(BatchReceipt, Option<SyncPoint>), IngestError> {
+        match self {
+            HubInner::Volatile(cat) => Ok((cat.apply_batch(chunk)?, None)),
+            HubInner::Durable(dc) => {
+                let (receipt, lsn) = dc.apply_batch_nosync(chunk)?;
+                Ok((receipt, Some((dc.group(), lsn))))
+            }
+        }
+    }
+
+    /// The work due once a round's chunks are durable: the WAL rotation. A
+    /// failed one leaves the previous generation chain authoritative.
+    fn after_durable(&mut self) {
+        if let HubInner::Durable(dc) = self {
+            let _ = dc.maybe_rotate();
+        }
+    }
 }
+
+/// A journaled chunk's durability point: the group committer and the log
+/// offset to sync up to.
+type SyncPoint = (Arc<GroupCommit>, u64);
 
 /// One producer's server-side state.
 struct Producer {
@@ -308,7 +372,8 @@ impl Producer {
 }
 
 struct HubState {
-    /// Taken by [`IngestHub::shutdown`]; `None` means the hub is closed.
+    /// The catalog while it is home; `None` while checked out (a round,
+    /// `with_inner`, a rotation) and for good once `shutdown` keeps it.
     inner: Option<HubInner>,
     sessions: BTreeMap<u64, Producer>,
     next_id: u64,
@@ -383,7 +448,8 @@ struct HubShared {
     state: Mutex<HubState>,
     /// Wakes the drain thread (new work, shutdown).
     work: Condvar,
-    /// Wakes committers (receipts delivered, errors recorded).
+    /// Wakes committers (receipts delivered, errors recorded) and
+    /// check-outs waiting for the catalog's hand-back.
     ack: Condvar,
     config: HubConfig,
     /// One-shot failpoint armed by [`HubConfig::inject_round_panic`].
@@ -401,22 +467,81 @@ struct HubShared {
 }
 
 impl HubShared {
-    /// Record a sticky per-session error: counter + structured event
-    /// carrying the session id and the error text.
-    fn note_sticky(&self, sid: u64, err: &IngestError) {
+    /// Make `err` session `sid`'s sticky error unless it already holds
+    /// one: counter + structured event carrying the session id and the
+    /// error text.
+    fn note_sticky(&self, sid: u64, p: &mut Producer, err: IngestError) {
+        if p.error.is_some() {
+            return;
+        }
         self.m.sticky_errors.inc();
         self.registry.emit(
             obs::Event::new(obs::EventKind::StickyError).session(sid).detail(err.to_string()),
         );
+        p.error = Some(err);
+    }
+}
+
+/// The catalog checked out of the hub state — the one way any code path
+/// gets to run against it; other check-outs wait on `ack` meanwhile.
+/// Dropping the guard hands the catalog back and wakes waiters, unwinds
+/// included. Only an explicit [`CheckOut::hand_back`] publishes a read
+/// epoch, so an unwind never captures a half-mutated catalog.
+struct CheckOut<'a> {
+    shared: &'a HubShared,
+    /// `None` once handed back (or kept by `shutdown`).
+    inner: Option<HubInner>,
+}
+
+impl<'a> CheckOut<'a> {
+    /// Take the catalog, waiting on `ack` while it is held elsewhere (or,
+    /// without `wait`, giving up at once); `None` also once the hub has
+    /// closed. The hub lock comes back still held, so the caller can act
+    /// atomically with the check-out.
+    fn take(shared: &'a HubShared, wait: bool) -> Option<(CheckOut<'a>, MutexGuard<'a, HubState>)> {
+        let mut g = shared.state.lock().expect("hub state");
+        loop {
+            if let Some(inner) = g.inner.take() {
+                return Some((CheckOut { shared, inner: Some(inner) }, g));
+            }
+            if !wait || (g.shutdown && g.sessions.is_empty()) {
+                return None;
+            }
+            g = shared.ack.wait(g).expect("hub state");
+        }
     }
 
-    /// Record `n` chunks handed back to session `sid`'s queue.
-    fn note_requeued(&self, sid: u64, n: usize, why: &str) {
-        if n == 0 {
-            return;
+    fn inner(&mut self) -> &mut HubInner {
+        self.inner.as_mut().expect("the catalog is checked out")
+    }
+
+    /// Hand the catalog back (if still held) and run `settle` under one
+    /// hub lock, then wake the waiters on `ack`. With `publish`, a fresh read epoch is
+    /// captured first, while the catalog is still exclusively ours.
+    fn hand_back(&mut self, publish: bool, settle: impl FnOnce(&mut HubState)) {
+        if let Some(inner) = self.inner.as_ref().filter(|_| publish) {
+            self.shared.epochs.publish(inner.catalog(), inner.marks());
         }
-        self.m.requeued.add(n as u64);
-        self.registry.emit(obs::Event::new(obs::EventKind::ChunkRequeued).session(sid).detail(why));
+        let mut g = self.shared.state.lock().expect("hub state");
+        if let Some(inner) = self.inner.take() {
+            g.inner = Some(inner);
+        }
+        settle(&mut g);
+        drop(g);
+        self.shared.ack.notify_all();
+    }
+
+    /// Keep the catalog for good (shutdown): disarms the hand-back.
+    fn keep(mut self) -> HubInner {
+        self.inner.take().expect("the catalog is checked out")
+    }
+}
+
+impl Drop for CheckOut<'_> {
+    fn drop(&mut self) {
+        if self.inner.is_some() {
+            self.hand_back(false, |_| {});
+        }
     }
 }
 
@@ -447,11 +572,7 @@ impl HubShared {
 /// }
 /// let receipt = writer.commit().unwrap();
 /// assert_eq!(receipt.batches_submitted, 3);
-/// let cat = match hub.shutdown() {
-///     viewsrv::HubInner::Volatile(c) => c,
-///     _ => unreachable!(),
-/// };
-/// cat.verify_all().unwrap();
+/// hub.shutdown().catalog().verify_all().unwrap();
 /// ```
 pub struct IngestHub {
     shared: Arc<HubShared>,
@@ -483,7 +604,7 @@ impl IngestHub {
         let m = HubMetrics::new(&registry);
         // Epoch 1 is captured before the hub opens for business, so a
         // reader subscribing at any point always finds a served state.
-        let epochs = crate::EpochPublisher::start_inner(&registry, &inner);
+        let epochs = crate::EpochPublisher::start(&registry, inner.catalog(), inner.marks());
         let shared = Arc::new(HubShared {
             state: Mutex::new(HubState {
                 inner: Some(inner),
@@ -570,44 +691,15 @@ impl IngestHub {
     /// inspect recovery state) for hosts that own the catalog only
     /// through a hub; keep `f` short — drains stall while it runs.
     pub fn with_inner<R>(&self, f: impl FnOnce(&mut HubInner) -> R) -> Option<R> {
-        let mut g = self.shared.state.lock().expect("hub state");
-        let inner = loop {
-            if let Some(inner) = g.inner.take() {
-                break inner;
-            }
-            if g.shutdown && g.sessions.is_empty() {
-                return None;
-            }
-            g = self.shared.ack.wait(g).expect("hub state");
-        };
+        let (mut co, g) = CheckOut::take(&self.shared, true)?;
         drop(g);
-
-        /// Hands the catalog back on every exit path, unwinds included.
-        struct Restore<'a> {
-            shared: &'a HubShared,
-            inner: Option<HubInner>,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                // `f` may have changed what readers should see (views
-                // registered/dropped, documents loaded): republish the
-                // epoch before the hand-back. Not on an unwind — a
-                // panicking `f` may have left mid-mutation state, and an
-                // epoch must only ever capture a consistent boundary.
-                if !std::thread::panicking() {
-                    if let Some(inner) = self.inner.as_ref() {
-                        self.shared.epochs.publish_inner(inner);
-                    }
-                }
-                let mut g = self.shared.state.lock().expect("hub state");
-                g.inner = self.inner.take();
-                drop(g);
-                self.shared.ack.notify_all();
-                self.shared.work.notify_all();
-            }
-        }
-        let mut guard = Restore { shared: &self.shared, inner: Some(inner) };
-        Some(f(guard.inner.as_mut().expect("checked out above")))
+        let out = f(co.inner());
+        // `f` may have changed what readers should see (views registered
+        // or dropped): republish at the hand-back. A panicking `f` never
+        // gets here — the guard's drop hands the catalog back without an
+        // epoch, since `f` may have left mid-mutation state.
+        co.hand_back(true, |_| {});
+        Some(out)
     }
 
     /// Read-only variant of [`IngestHub::with_inner`].
@@ -632,11 +724,7 @@ impl IngestHub {
         // this point either lands in a queue we still drain below, or
         // observes the flag and gets its batch back in `HubClosed` —
         // never an `Ok` whose batch silently vanishes.
-        {
-            let mut g = self.shared.state.lock().expect("hub state");
-            g.shutdown = true;
-        }
-        self.shared.work.notify_all();
+        self.close();
         loop {
             let g = self.shared.state.lock().expect("hub state");
             if !g.any_drainable() {
@@ -646,19 +734,16 @@ impl IngestHub {
             drain_round(&self.shared, None);
         }
         self.stop_thread();
-        let mut g = self.shared.state.lock().expect("hub state");
-        // A straggler round may still have the catalog checked out; wait
-        // for its hand-back rather than panicking on the take.
-        let inner = loop {
-            match g.inner.take() {
-                Some(inner) => break inner,
-                None => g = self.shared.ack.wait(g).expect("hub state"),
-            }
-        };
+        // A straggler round (a live handle's commit) may still have the
+        // catalog checked out; the check-out waits for its hand-back.
+        // Sessions are cleared only below, so the closed-hub exit of the
+        // check-out cannot fire while anyone else holds the catalog.
+        let (co, mut g) = CheckOut::take(&self.shared, true).expect("the hub holds its catalog");
         g.sessions.clear();
         self.shared.m.sessions.set(0);
         self.shared.m.queued_batches.set(0);
         drop(g);
+        let inner = co.keep();
         // Wake any straggler commit/drain so it observes the closed hub.
         self.shared.ack.notify_all();
         // Operational escape hatch: `XQVIEW_METRICS_DUMP=<path>` writes
@@ -671,12 +756,14 @@ impl IngestHub {
         inner
     }
 
-    fn stop_thread(&mut self) {
-        {
-            let mut g = self.shared.state.lock().expect("hub state");
-            g.shutdown = true;
-        }
+    /// Reject further submissions and wake the drain thread to exit.
+    fn close(&self) {
+        self.shared.state.lock().expect("hub state").shutdown = true;
         self.shared.work.notify_all();
+    }
+
+    fn stop_thread(&mut self) {
+        self.close();
         if let Some(h) = self.drain.take() {
             let _ = h.join();
         }
@@ -706,7 +793,8 @@ pub struct SessionHandle {
 impl SessionHandle {
     /// Enqueue a typed batch. Fails fast with [`IngestError::QueueFull`]
     /// at the per-session bound and [`IngestError::HubClosed`] after
-    /// shutdown — the batch rides back in both errors.
+    /// shutdown — the batch rides back in both errors. Scripts are
+    /// parsed at the edge: [`UpdateBatch::from_script`] first.
     pub fn try_submit(&self, batch: UpdateBatch) -> Result<(), IngestError> {
         let mut g = self.shared.state.lock().expect("hub state");
         // `inner` being absent just means a round has the catalog checked
@@ -739,11 +827,6 @@ impl SessionHandle {
         drop(g);
         self.shared.work.notify_all();
         Ok(())
-    }
-
-    /// Parse a script once into a typed batch and submit it.
-    pub fn try_submit_script(&self, script: &str) -> Result<(), IngestError> {
-        self.try_submit(UpdateBatch::from_script(script)?)
     }
 
     /// Submissions waiting in this session's queue.
@@ -838,10 +921,6 @@ impl Drop for SessionHandle {
 /// immediately — the window only delays *fresh* submissions.
 fn drain_loop(shared: &HubShared) {
     let window = Duration::from_millis(shared.config.window_ms);
-    // Idle epoch republish: with `epoch_ms > 0` the wait-for-work sleep
-    // is bounded so a quiet catalog still gets fresh capture timestamps.
-    let idle_republish =
-        (shared.config.epoch_ms > 0).then(|| Duration::from_millis(shared.config.epoch_ms));
     loop {
         {
             let mut g = shared.state.lock().expect("hub state");
@@ -852,23 +931,7 @@ fn drain_loop(shared: &HubShared) {
                 if g.any_drainable() {
                     break;
                 }
-                match idle_republish {
-                    None => g = shared.work.wait(g).expect("hub state"),
-                    Some(period) => {
-                        let (g2, t) = shared.work.wait_timeout(g, period).expect("hub state");
-                        g = g2;
-                        // Republish only if the catalog is actually home
-                        // (a concurrent with_inner/round already
-                        // publishes at its own hand-back). Capture is
-                        // O(docs+views) refcount bumps; holding the idle
-                        // hub's lock for it contends with nothing.
-                        if t.timed_out() {
-                            if let Some(inner) = g.inner.as_ref() {
-                                shared.epochs.publish_inner(inner);
-                            }
-                        }
-                    }
-                }
+                g = shared.work.wait(g).expect("hub state");
             }
             // Time-based coalescing, anchored at the oldest pending
             // submission (so no submission waits longer than the window).
@@ -912,32 +975,48 @@ fn pop_chunk(
     Some((merged, coalesced))
 }
 
-/// The unwind guard of a drain round: owns the checked-out catalog and
-/// every chunk the round popped — not yet applied (`pending`), mid-apply
-/// (`applying`), applied-but-unacknowledged (`acks`), or failed-awaiting-
-/// requeue (`failed`) — while no hub lock is held. On a normal round it
-/// is disarmed piece by piece (the catalog handed back, each collection
-/// drained at its settle point); if the round **panics** anywhere — an
-/// apply, the group fsync, the rotation — the destructor restores the
-/// catalog to the hub state, requeues untouched chunks, flags the
-/// mid-apply session with a sticky error (its effects are unknown —
-/// retrying could double-apply), delivers applied receipts with a sticky
-/// durability-unknown error, requeues failed chunks, releases every
-/// `inflight` count, and wakes every waiter — so `IngestHub::shutdown`
-/// and `SessionHandle::commit` observe a closed round instead of
-/// deadlocking on a hand-back or acknowledgment that will never come.
-struct RoundGuard<'a> {
-    shared: &'a HubShared,
-    inner: Option<HubInner>,
-    /// Popped chunks not yet settled; front is next to apply.
-    pending: VecDeque<(u64, UpdateBatch, usize)>,
-    /// Session whose chunk is mid-apply right now.
-    applying: Option<u64>,
-    /// Applied chunks whose receipts have not been delivered (the round
-    /// delivers them only once the group fsync settles).
-    acks: Vec<(u64, BatchReceipt)>,
-    /// Failed sessions' chunks awaiting requeue at the first hand-back.
-    failed: BTreeMap<u64, (IngestError, Vec<UpdateBatch>)>,
+/// A run of session `sid`'s popped chunks to requeue, in order, with the
+/// sticky error it carries: a failed chunk's error (later chunks of the
+/// session were skipped behind it), or none for chunks never started.
+type Run = (u64, Option<IngestError>, Vec<UpdateBatch>);
+
+/// Put runs of popped chunks back at their sessions' queue fronts in
+/// order, releasing `inflight`; a run's error becomes the session's
+/// sticky error. A closed session's chunks are dropped instead: no
+/// producer is left to discard them, and a poison chunk would retry
+/// forever.
+fn requeue(shared: &HubShared, g: &mut HubState, runs: impl IntoIterator<Item = Run>, why: &str) {
+    for (sid, error, chunks) in runs {
+        let Some(p) = g.sessions.get_mut(&sid) else { continue };
+        p.inflight -= chunks.len();
+        if !p.open {
+            continue;
+        }
+        let n = chunks.len();
+        for c in chunks.into_iter().rev() {
+            p.queued_ops += c.len();
+            p.queue.push_front(c);
+        }
+        p.depth.set(p.queue.len() as i64);
+        shared.m.requeued.add(n as u64);
+        shared
+            .registry
+            .emit(obs::Event::new(obs::EventKind::ChunkRequeued).session(sid).detail(why));
+        if let Some(e) = error {
+            shared.note_sticky(sid, p, e);
+        }
+    }
+    shared.m.queued_batches.set(g.queued_total() as i64);
+}
+
+/// Why applied chunks are receipted with a sticky error instead of a
+/// clean acknowledgment: their durability is unknown.
+#[derive(Clone, Copy)]
+enum AckFault<'e> {
+    /// The shared group fsync failed — the ambiguity a crash leaves.
+    Fsync(&'e std::io::Error),
+    /// The round unwound before their fsync settled.
+    Panicked,
 }
 
 fn round_panicked_error(what: &str) -> IngestError {
@@ -946,90 +1025,94 @@ fn round_panicked_error(what: &str) -> IngestError {
     ))))
 }
 
+/// Deliver applied chunks' receipts and release `inflight`. The chunks
+/// *did* apply, so receipts always arrive; a `fault` also pins a sticky
+/// error on each session flagging that their durability is unknown.
+fn deliver_acks(
+    shared: &HubShared,
+    g: &mut HubState,
+    acks: &mut Vec<(u64, BatchReceipt)>,
+    fault: Option<AckFault<'_>>,
+) {
+    for (sid, receipt) in acks.drain(..) {
+        let Some(p) = g.sessions.get_mut(&sid) else { continue };
+        p.inflight -= 1;
+        shared.m.session.record_receipt(&receipt);
+        p.receipts.push(receipt);
+        let err = match fault {
+            None => continue,
+            Some(AckFault::Fsync(io)) => {
+                IngestError::Journal(std::io::Error::new(io.kind(), io.to_string()))
+            }
+            Some(AckFault::Panicked) => round_panicked_error(
+                "before this session's applied chunks were acknowledged; their durability is \
+                 unknown",
+            ),
+        };
+        shared.note_sticky(sid, p, err);
+    }
+}
+
+/// The unwind guard of a drain round: owns the catalog check-out and
+/// every chunk the round popped — not yet applied (`pending`), mid-apply
+/// (`applying`), applied-but-unacknowledged (`acks`), or failed-awaiting-
+/// requeue (`failed`) — while no hub lock is held. On a normal round each
+/// piece is settled at its point (the catalog handed back and failures
+/// requeued before the fsync, receipts delivered after it); if the round
+/// **panics** anywhere — an apply, the group fsync, the rotation — the
+/// destructor restores the catalog to the hub state, requeues untouched
+/// chunks, flags the mid-apply session with a sticky error (its effects
+/// are unknown — retrying could double-apply), delivers applied receipts
+/// with a sticky durability-unknown error, requeues failed chunks,
+/// releases every `inflight` count, and wakes every waiter — so
+/// `IngestHub::shutdown` and `SessionHandle::commit` observe a closed
+/// round instead of deadlocking on a hand-back or acknowledgment that
+/// will never come. It settles through the same [`requeue`] and
+/// [`deliver_acks`] routines as the normal round.
+struct RoundGuard<'a> {
+    co: CheckOut<'a>,
+    /// Popped chunks not yet settled; front is next to apply.
+    pending: VecDeque<(u64, UpdateBatch, usize)>,
+    /// Session whose chunk is mid-apply right now.
+    applying: Option<u64>,
+    /// Applied chunks whose receipts have not been delivered (the round
+    /// delivers them only once the group fsync settles).
+    acks: Vec<(u64, BatchReceipt)>,
+    /// Failed sessions' chunks awaiting requeue at the first hand-back.
+    failed: Vec<Run>,
+}
+
 impl Drop for RoundGuard<'_> {
     fn drop(&mut self) {
-        if self.inner.is_none()
-            && self.pending.is_empty()
+        if self.pending.is_empty()
             && self.applying.is_none()
             && self.acks.is_empty()
             && self.failed.is_empty()
         {
-            return; // normal completion: everything was handed over already
+            return; // settled (a catalog still held is handed back by `co`)
         }
-        let mut g = self.shared.state.lock().expect("hub state");
-        if let Some(inner) = self.inner.take() {
-            g.inner = Some(inner);
-        }
-        if let Some(sid) = self.applying.take() {
-            if let Some(p) = g.sessions.get_mut(&sid) {
-                p.inflight -= 1;
-                if p.error.is_none() {
+        let shared = self.co.shared;
+        self.co.hand_back(false, |g| {
+            if let Some(sid) = self.applying.take() {
+                if let Some(p) = g.sessions.get_mut(&sid) {
+                    p.inflight -= 1;
                     let e = round_panicked_error(
-                        "while applying this session's chunk; its effects are unknown and it \
-                         was not requeued",
+                        "while applying this session's chunk; its effects are unknown and it was \
+                         not requeued",
                     );
-                    self.shared.note_sticky(sid, &e);
-                    p.error = Some(e);
+                    shared.note_sticky(sid, p, e);
                 }
             }
-        }
-        // Applied chunks whose acknowledgment never came: deliver the
-        // receipt (the chunk *did* apply) with a sticky error flagging
-        // that its durability was never established — the same shape as
-        // a failed group fsync.
-        for (sid, receipt) in self.acks.drain(..) {
-            if let Some(p) = g.sessions.get_mut(&sid) {
-                p.inflight -= 1;
-                self.shared.m.session.record_receipt(&receipt);
-                p.receipts.push(receipt);
-                if p.error.is_none() {
-                    let e = round_panicked_error(
-                        "before this session's applied chunks were acknowledged; their \
-                         durability is unknown",
-                    );
-                    self.shared.note_sticky(sid, &e);
-                    p.error = Some(e);
-                }
-            }
-        }
-        // Chunks the round never started are requeued untouched, at the
-        // front, in their original order.
-        for (sid, chunk, _) in self.pending.drain(..).rev() {
-            if let Some(p) = g.sessions.get_mut(&sid) {
-                p.inflight -= 1;
-                if p.open {
-                    p.queued_ops += chunk.len();
-                    p.queue.push_front(chunk);
-                    p.depth.set(p.queue.len() as i64);
-                    self.shared.note_requeued(sid, 1, "round unwound before this chunk started");
-                }
-            }
-        }
-        // Failed chunks requeue exactly as the normal hand-back would —
-        // after the pending chunks, so their push_front lands them ahead
-        // (they were popped earlier and must drain first).
-        for (sid, (error, batches)) in std::mem::take(&mut self.failed) {
-            if let Some(p) = g.sessions.get_mut(&sid) {
-                p.inflight -= batches.len();
-                if p.open {
-                    let n = batches.len();
-                    for b in batches.into_iter().rev() {
-                        p.queued_ops += b.len();
-                        p.queue.push_front(b);
-                    }
-                    p.depth.set(p.queue.len() as i64);
-                    self.shared.note_requeued(sid, n, "chunk failed during an unwound round");
-                    if p.error.is_none() {
-                        self.shared.note_sticky(sid, &error);
-                        p.error = Some(error);
-                    }
-                }
-            }
-        }
-        self.shared.m.queued_batches.set(g.queued_total() as i64);
-        drop(g);
-        self.shared.ack.notify_all();
-        self.shared.work.notify_all();
+            deliver_acks(shared, g, &mut self.acks, Some(AckFault::Panicked));
+            // Chunks the round never started requeue untouched, then the
+            // failed runs — whose push_front lands them ahead (they were
+            // popped earlier and must drain first).
+            let untouched = self.pending.drain(..).rev().map(|(sid, c, _)| (sid, None, vec![c]));
+            requeue(shared, g, untouched, "round unwound before this chunk started");
+            requeue(shared, g, self.failed.drain(..), "chunk failed during an unwound round");
+        });
+        // The requeued chunks are drainable again.
+        shared.work.notify_all();
     }
 }
 
@@ -1038,36 +1121,24 @@ impl Drop for RoundGuard<'_> {
 /// after the previous round's leader. `only == Some(id)` is a commit
 /// round: session `id`'s whole queue, chunked by `window_ops`.
 ///
-/// The round **checks the catalog out** of the hub state (`inner.take()`)
-/// and applies chunks with no hub lock held, so producers keep enqueueing
-/// at memory speed while maintenance runs; catalog ownership serializes
-/// concurrent rounds (log order == apply order), and the group fsync
-/// coalesces with any round it races. The check-out is panic-safe: a
-/// [`RoundGuard`] restores the catalog and notifies waiters if the apply
-/// path unwinds. Receipts are delivered, and `inflight` released, only
+/// The round **checks the catalog out** of the hub state and applies
+/// chunks with no hub lock held, so producers keep enqueueing at memory
+/// speed while maintenance runs; catalog ownership serializes concurrent
+/// rounds (log order == apply order), and the group fsync coalesces with
+/// any round it races. A [`RoundGuard`] settles every popped chunk if the
+/// round unwinds. Receipts are delivered, and `inflight` released, only
 /// after the fsync attempt settles (on fsync failure the receipt is
 /// paired with a sticky Journal error). Returns the chunks applied.
 fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
-    // Check the catalog out. `None` means either a concurrent round holds
-    // it (wait for the hand-back on `ack`) or the hub closed (give up).
-    let mut g = shared.state.lock().expect("hub state");
-    let inner = loop {
-        if let Some(inner) = g.inner.take() {
-            break inner;
-        }
-        if g.shutdown && g.sessions.is_empty() {
-            return 0;
-        }
-        g = shared.ack.wait(g).expect("hub state");
-    };
+    // ── 1. Check the catalog out and pop chunks under one lock.
+    let Some((co, mut g)) = CheckOut::take(shared, true) else { return 0 };
     let round_start = Instant::now();
     let mut guard = RoundGuard {
-        shared,
-        inner: Some(inner),
+        co,
         pending: VecDeque::new(),
         applying: None,
         acks: Vec::new(),
-        failed: BTreeMap::new(),
+        failed: Vec::new(),
     };
 
     // Pick the visit order.
@@ -1085,8 +1156,7 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
     };
     if ids.is_empty() {
         drop(g);
-        drop(guard); // hands the catalog back and notifies
-        return 0;
+        return 0; // the guard hands the catalog back and notifies
     }
     if only.is_none() {
         g.rr = ids[0];
@@ -1122,15 +1192,15 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
         std::thread::sleep(Duration::from_millis(shared.config.inject_round_stall_ms));
     }
 
-    // ── No hub lock held from here: append + apply each chunk in order
-    // (catalog ownership makes this the WAL order), then the group fsync.
-    // Results accumulate *in the guard* so an unwind anywhere below still
-    // settles every popped chunk.
-    let mut sync: Option<(Arc<GroupCommit>, u64)> = None;
+    // ── 2. No hub lock held from here: append + apply each chunk in order
+    // (catalog ownership makes this the WAL order). Results accumulate
+    // *in the guard* so an unwind anywhere below still settles every
+    // popped chunk.
+    let mut sync: Option<SyncPoint> = None;
     let mut chunk_idx = 0usize;
     while let Some((sid, chunk, coalesced)) = guard.pending.pop_front() {
-        if let Some((_, requeue)) = guard.failed.get_mut(&sid) {
-            requeue.push(chunk);
+        if let Some((.., skipped)) = guard.failed.iter_mut().find(|(s, ..)| *s == sid) {
+            skipped.push(chunk);
             continue;
         }
         guard.applying = Some(sid);
@@ -1144,138 +1214,55 @@ fn drain_round(shared: &HubShared, only: Option<u64>) -> usize {
             panic!("injected drain-round panic");
         }
         chunk_idx += 1;
-        let applied: Result<BatchReceipt, IngestError> =
-            match guard.inner.as_mut().expect("round holds the catalog") {
-                HubInner::Volatile(cat) => cat.apply_batch(&chunk).map_err(IngestError::Catalog),
-                HubInner::Durable(dc) => dc
-                    .apply_batch_nosync(&chunk)
-                    .map(|(receipt, lsn)| {
-                        sync = Some((dc.group(), lsn));
-                        receipt
-                    })
-                    .map_err(IngestError::from),
-            };
+        let applied = guard.co.inner().apply_chunk(&chunk);
         guard.applying = None;
         match applied {
-            Ok(mut receipt) => {
+            Ok((mut receipt, durable)) => {
                 receipt.coalesced_from = coalesced;
                 guard.acks.push((sid, receipt));
+                sync = durable.or(sync);
             }
             Err(e) => {
-                guard.failed.insert(sid, (e, vec![chunk]));
+                guard.failed.push((sid, Some(e), vec![chunk]));
             }
         }
     }
     let applied = guard.acks.len();
 
-    // ── Publish the read epoch at the batch boundary, while this round
-    // still owns the catalog (so the capture cannot interleave with
-    // another round's apply). Readers see applied-in-memory state — on a
-    // durable catalog that can precede the group fsync below, exactly as
-    // a with_catalog read always has.
-    if applied > 0 {
-        shared.epochs.publish_inner(guard.inner.as_ref().expect("round holds the catalog"));
-    }
+    // Publish the read epoch at the batch boundary (readers see
+    // applied-in-memory state, which on a durable catalog can precede the
+    // fsync), then hand the catalog back *before* the fsync and requeue
+    // failures: the next round can append and join this round's fsync as
+    // a follower — what makes fsync sharing reachable at all. Receipts
+    // stay undelivered (inflight held) until the sync settles.
+    guard.co.hand_back(applied > 0, |g| {
+        requeue(shared, g, guard.failed.drain(..), "chunk failed to apply");
+    });
 
-    // ── Hand the catalog back *before* the fsync and requeue failures:
-    // the next round can append (and race into the group sync as a
-    // follower) while this round's fsync is in flight — this is what
-    // makes fsync sharing reachable at all. Receipts stay undelivered
-    // (inflight held) until the sync settles, so commit's durability
-    // boundary is unchanged.
-    let mut g = shared.state.lock().expect("hub state");
-    g.inner = guard.inner.take();
-    // Requeue failed sessions' chunks at the front, preserving order
-    // (ahead of anything submitted while the round ran unlocked). A
-    // session whose handle is gone gets its failed chunks dropped
-    // instead: no producer is left to retry or discard them, and
-    // requeueing would retry the poison chunk forever.
-    for (sid, (error, batches)) in std::mem::take(&mut guard.failed) {
-        if let Some(p) = g.sessions.get_mut(&sid) {
-            p.inflight -= batches.len();
-            if p.open {
-                let n = batches.len();
-                for b in batches.into_iter().rev() {
-                    p.queued_ops += b.len();
-                    p.queue.push_front(b);
-                }
-                p.depth.set(p.queue.len() as i64);
-                shared.note_requeued(sid, n, "chunk failed to apply");
-                if p.error.is_none() {
-                    shared.note_sticky(sid, &error);
-                    p.error = Some(error);
-                }
-            }
-        }
-    }
-    shared.m.queued_batches.set(g.queued_total() as i64);
-    drop(g);
-    shared.ack.notify_all();
-
-    // ── The slow part, with nothing held: the group fsync. One leader's
-    // fsync acknowledges every concurrent round it covers.
+    // ── 3. The slow part, with nothing held: the group fsync. One
+    // leader's fsync acknowledges every concurrent round it covers.
     let sync_result = match &sync {
-        Some((gc, lsn)) if !guard.acks.is_empty() => gc.sync_upto(*lsn),
-        _ => Ok(()),
+        Some((gc, lsn)) => gc.sync_upto(*lsn),
+        None => Ok(()),
     };
 
-    // ── Rotate at the durability point, with the catalog checked out
-    // again — never under the hub lock, so producers keep enqueueing
-    // while the checkpointer seals the generation (the slow snapshot
-    // encode+fsync itself leaves on a background pool job; see
-    // `DurableCatalog::checkpoint`). Opportunistic: if a concurrent
-    // round holds the catalog, skip — its own durability point retries
-    // (the threshold is still exceeded). A failed rotation likewise just
-    // leaves the previous generation chain authoritative.
-    if sync_result.is_ok() && sync.is_some() {
-        let mut g = shared.state.lock().expect("hub state");
-        if matches!(g.inner, Some(HubInner::Durable(_))) {
-            guard.inner = g.inner.take();
+    // Rotate at the durability point, with the catalog checked out again
+    // — never under the hub lock, so producers keep enqueueing while the
+    // checkpointer seals the generation (the slow snapshot encode+fsync
+    // itself leaves on a background pool job; see
+    // `DurableCatalog::checkpoint`). Opportunistic: if a concurrent round
+    // holds the catalog, skip — its own durability point retries (the
+    // threshold is still exceeded).
+    if sync.is_some() && sync_result.is_ok() {
+        if let Some((mut co, g)) = CheckOut::take(shared, false) {
             drop(g);
-            if let Some(HubInner::Durable(dc)) = guard.inner.as_mut() {
-                let _ = dc.maybe_rotate();
-            }
-            let mut g = shared.state.lock().expect("hub state");
-            g.inner = guard.inner.take();
-            drop(g);
-            shared.ack.notify_all();
+            co.inner().after_durable();
         }
     }
 
-    // ── Settle the sessions.
+    // ── 4. Settle the sessions.
     let mut g = shared.state.lock().expect("hub state");
-    match sync_result {
-        Ok(()) => {
-            for (sid, receipt) in guard.acks.drain(..) {
-                if let Some(p) = g.sessions.get_mut(&sid) {
-                    p.inflight -= 1;
-                    shared.m.session.record_receipt(&receipt);
-                    p.receipts.push(receipt);
-                }
-            }
-        }
-        Err(io) => {
-            // The group fsync failed: the chunks applied in memory but
-            // their durability is unknown — surface per session, exactly
-            // the ambiguity a crash would leave. The receipts are still
-            // delivered (the chunks *did* apply), so the session's
-            // submitted/applied accounting stays coherent; the sticky
-            // Journal error is what flags the durability ambiguity.
-            for (sid, receipt) in guard.acks.drain(..) {
-                if let Some(p) = g.sessions.get_mut(&sid) {
-                    p.inflight -= 1;
-                    shared.m.session.record_receipt(&receipt);
-                    p.receipts.push(receipt);
-                    if p.error.is_none() {
-                        let e =
-                            IngestError::Journal(std::io::Error::new(io.kind(), io.to_string()));
-                        shared.note_sticky(sid, &e);
-                        p.error = Some(e);
-                    }
-                }
-            }
-        }
-    }
+    deliver_acks(shared, &mut g, &mut guard.acks, sync_result.as_ref().err().map(AckFault::Fsync));
     // Reap sessions whose handle dropped and whose work is finished.
     g.sessions.retain(|_, p| p.open || !p.queue.is_empty() || p.inflight > 0);
     shared.m.sessions.set(g.sessions.len() as i64);

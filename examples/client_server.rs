@@ -11,7 +11,7 @@
 
 use xqview::client::Client;
 use xqview::server::{Server, ServerConfig};
-use xqview::{datagen, Store, ViewCatalog};
+use xqview::{datagen, Store, UpdateBatch, ViewCatalog};
 
 fn main() {
     let cfg =
@@ -40,12 +40,13 @@ fn main() {
     )
     .expect("register view");
 
-    let (batches, ops) = c
-        .submit_script(
-            r#"for $r in doc("bib.xml")/bib update $r
+    // Scripts are parsed at the edge; the wire carries the typed batch.
+    let batch = UpdateBatch::from_script(
+        r#"for $r in doc("bib.xml")/bib update $r
     insert <book year="1900"><title>Networked</title></book> into $r"#,
-        )
-        .expect("submit");
+    )
+    .expect("script parses");
+    let (batches, ops) = c.submit(&batch).expect("submit");
     println!("queued {batches} batch(es), {ops} op(s)");
 
     let receipt = c.commit().expect("commit");
@@ -75,11 +76,7 @@ fn main() {
 
     // Graceful shutdown: the client asks, the server drains and stops.
     c.shutdown_server().expect("shutdown request");
-    match srv.shutdown().expect("hub still owned") {
-        xqview::HubInner::Volatile(cat) => {
-            cat.verify_all().expect("recompute oracle after shutdown")
-        }
-        _ => unreachable!("started volatile"),
-    }
+    let inner = srv.shutdown().expect("hub still owned");
+    inner.catalog().verify_all().expect("recompute oracle after shutdown");
     println!("server drained and verified — bye");
 }

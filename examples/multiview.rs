@@ -6,7 +6,7 @@
 //! cargo run --release --example multiview
 //! ```
 
-use xqview::{datagen, Store, ViewCatalog};
+use xqview::{datagen, Store, UpdateBatch, ViewCatalog};
 
 fn main() {
     // Shared sources: a generated bib/prices pair.
@@ -71,7 +71,7 @@ fn main() {
         datagen::delete_year_script(1901),
     ];
     for (i, script) in workload.iter().enumerate() {
-        let b = cat.apply_update_script(script).unwrap();
+        let b = cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats;
         println!(
             "batch {i}: {:>2} updates  routed {:>2}  skipped {:>2}  \
              validate {:>7.3}ms  propagate {:>7.3}ms  apply {:>7.3}ms",

@@ -8,7 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use xqview::{Store, ViewCatalog};
+use xqview::{Store, UpdateBatch, ViewCatalog};
 
 const BIB: &str = r#"<bib>
     <book year="1994"><title>TCP/IP Illustrated</title>
@@ -64,7 +64,7 @@ fn main() {
     println!("== view plan (XAT algebra, Fig 2.2 shape) ==\n{}", cat.view("v").unwrap().plan());
     println!("== initial extent (Figure 1.2(b)) ==\n{}\n", pretty(&cat.extent_xml("v").unwrap()));
 
-    let stats = cat.apply_update_script(UPDATES).unwrap();
+    let stats = cat.apply_batch(&UpdateBatch::from_script(UPDATES).unwrap()).unwrap().stats;
     println!("== refreshed extent (Figure 1.4) ==\n{}\n", pretty(&cat.extent_xml("v").unwrap()));
     println!("== maintenance statistics ==");
     println!("  relevant updates : {}", stats.views_routed);

@@ -8,7 +8,7 @@
 //! cargo run --example stream_fusion
 //! ```
 
-use xqview::{Store, ViewCatalog};
+use xqview::{Store, UpdateBatch, ViewCatalog};
 
 const VIEW: &str = r#"<dashboard>{
   for $c in distinct-values(doc("feed.xml")/feed/reading/@city)
@@ -43,16 +43,19 @@ fn main() {
             r#"for $f in document("feed.xml")/feed update $f
                insert <reading city="{city}"><temp>{temp}</temp></reading> into $f"#
         );
-        let _ = cat.apply_update_script(&unit).unwrap();
+        let _ = cat.apply_batch(&UpdateBatch::from_script(&unit).unwrap()).unwrap();
         println!("unit {i}: {city} {temp}°\n  → {}", cat.extent_xml("v").unwrap());
         cat.verify_all().unwrap();
     }
 
     // Late correction: a reading is retracted.
     let _ = cat
-        .apply_update_script(
-            r#"for $r in document("feed.xml")/feed/reading where $r/temp = "17"
+        .apply_batch(
+            &UpdateBatch::from_script(
+                r#"for $r in document("feed.xml")/feed/reading where $r/temp = "17"
            update $r delete $r"#,
+            )
+            .unwrap(),
         )
         .unwrap();
     println!("\nretract Albany 17°\n  → {}", cat.extent_xml("v").unwrap());

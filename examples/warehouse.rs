@@ -7,7 +7,7 @@
 //! ```
 
 use std::time::Instant;
-use xqview::{datagen, Store, ViewCatalog};
+use xqview::{datagen, Store, UpdateBatch, ViewCatalog};
 
 const VIEW: &str = r#"<catalog>{
   for $y in distinct-values(doc("bib.xml")/bib/book/@year)
@@ -48,7 +48,7 @@ fn main() {
         batch.push_str(&datagen::modify_prices_script(20, 4, "19.99"));
 
         let t1 = Instant::now();
-        let stats = cat.apply_update_script(&batch).unwrap();
+        let stats = cat.apply_batch(&UpdateBatch::from_script(&batch).unwrap()).unwrap().stats;
         let incremental = t1.elapsed();
 
         // The oracle recomputes from scratch: its time is the baseline.

@@ -11,7 +11,7 @@
 //! A single materialized view is a one-view [`ViewCatalog`]:
 //!
 //! ```
-//! use xqview::{Store, ViewCatalog};
+//! use xqview::{Store, UpdateBatch, ViewCatalog};
 //!
 //! let mut store = Store::new();
 //! store.load_doc("bib.xml", r#"<bib>
@@ -28,11 +28,13 @@
 //! assert_eq!(cat.extent_xml("v").unwrap(),
 //!            "<result><title>TCP/IP Illustrated</title></result>");
 //!
-//! // Maintain incrementally on a source update:
-//! cat.apply_update_script(r#"
+//! // Maintain incrementally on a source update, parsed once at the edge
+//! // into a typed batch:
+//! let batch = UpdateBatch::from_script(r#"
 //!     for $r in document("bib.xml")/bib update $r
 //!     insert <book year="1994"><title>Advanced Programming</title></book> into $r
 //! "#).unwrap();
+//! cat.apply_batch(&batch).unwrap();
 //! assert!(cat.extent_xml("v").unwrap().contains("Advanced Programming"));
 //! // The paper's correctness criterion (§1.2): refreshed == recomputed.
 //! cat.verify_all().unwrap();
@@ -206,7 +208,7 @@
 //! ```
 //! use xqview::client::Client;
 //! use xqview::server::{Server, ServerConfig};
-//! use xqview::{Store, ViewCatalog};
+//! use xqview::{Store, UpdateBatch, ViewCatalog};
 //!
 //! let mut store = Store::new();
 //! store.load_doc("bib.xml", r#"<bib><book year="1994"><title>T</title></book></bib>"#).unwrap();
@@ -215,9 +217,10 @@
 //! let mut c = Client::connect(&srv.local_addr().to_string(), "doc-test").unwrap();
 //! c.register_view("titles", r#"<r>{ for $b in doc("bib.xml")/bib/book return $b/title }</r>"#)
 //!     .unwrap();
-//! c.submit_script(r#"for $r in doc("bib.xml")/bib update $r
+//! let batch = UpdateBatch::from_script(r#"for $r in doc("bib.xml")/bib update $r
 //!     insert <book year="2001"><title>U</title></book> into $r"#)
 //!     .unwrap();
+//! c.submit(&batch).unwrap();
 //! let receipt = c.commit().unwrap();
 //! assert_eq!(receipt.views_touched, vec!["titles"]);
 //! assert!(c.query_view("titles").unwrap().to_xml().contains("<title>U</title>"));

@@ -3,7 +3,12 @@
 //! views, wildcard tests, Cartesian (uncorrelated multi-for) views — all
 //! maintained incrementally and checked against the recompute oracle.
 
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 /// One view is a one-view catalog.
 fn one_view(store: Store, q: &str) -> ViewCatalog {
@@ -52,26 +57,24 @@ fn count_aggregate_maintained_under_updates() {
         r#"<r>{ for $d in doc("shop.xml")/shop/dept
                return <dept n="{$d/@name}" sales="{count($d/sale)}"/> }</r>"#,
     );
-    let _ = cat
-        .apply_update_script(
-            r#"for $d in document("shop.xml")/shop/dept
+    let _ = apply(
+        &mut cat,
+        r#"for $d in document("shop.xml")/shop/dept
            where $d/@name = "books"
            update $d insert <sale><amount>99</amount></sale> into $d"#,
-        )
-        .unwrap();
+    );
     assert!(
         cat.extent_xml("v").unwrap().contains(r#"sales="3""#),
         "{}",
         cat.extent_xml("v").unwrap()
     );
     cat.verify_all().unwrap();
-    let _ = cat
-        .apply_update_script(
-            r#"for $d in document("shop.xml")/shop/dept
+    let _ = apply(
+        &mut cat,
+        r#"for $d in document("shop.xml")/shop/dept
            where $d/@name = "music"
            update $d delete $d"#,
-        )
-        .unwrap();
+    );
     assert!(!cat.extent_xml("v").unwrap().contains("music"));
     cat.verify_all().unwrap();
 }
@@ -101,12 +104,11 @@ fn descendant_axis_view_maintained() {
     let mut cat =
         one_view(store(), r#"<amounts>{ for $a in doc("shop.xml")//amount return $a }</amounts>"#);
     assert_eq!(cat.extent_xml("v").unwrap().matches("<amount>").count(), 5);
-    let _ = cat
-        .apply_update_script(
-            r#"for $d in document("shop.xml")/shop/dept[1]
+    let _ = apply(
+        &mut cat,
+        r#"for $d in document("shop.xml")/shop/dept[1]
            update $d insert <sale><amount>123</amount></sale> into $d"#,
-        )
-        .unwrap();
+    );
     assert_eq!(cat.extent_xml("v").unwrap().matches("<amount>").count(), 6);
     assert!(cat.extent_xml("v").unwrap().contains("<amount>123</amount>"));
     cat.verify_all().unwrap();
@@ -200,21 +202,19 @@ fn doubly_nested_correlated_groups() {
     assert!(xml.contains(r#"<city id="boston"><shop id="s1"/><shop id="s3"/></city>"#), "{xml}");
     assert!(xml.contains(r#"<region id="west"><city id="denver"/></region>"#), "{xml}");
     // Maintain through an insert into a middle group…
-    let _ = cat
-        .apply_update_script(
-            r#"for $g in document("geo.xml")/geo
+    let _ = apply(
+        &mut cat,
+        r#"for $g in document("geo.xml")/geo
            update $g insert <shop city="worcester" n="s4"/> into $g"#,
-        )
-        .unwrap();
+    );
     cat.verify_all().unwrap();
     assert!(cat.extent_xml("v").unwrap().contains(r#"<shop id="s4"/>"#));
     // …and a delete that empties a city.
-    let _ = cat
-        .apply_update_script(
-            r#"for $s in document("geo.xml")/geo/shop
+    let _ = apply(
+        &mut cat,
+        r#"for $s in document("geo.xml")/geo/shop
            where $s/@city = "boston"
            update $s delete $s"#,
-        )
-        .unwrap();
+    );
     cat.verify_all().unwrap();
 }

@@ -3,7 +3,12 @@
 //! when their last derivation goes — including through joins, duplicate
 //! join partners, and duplicate-elimination.
 
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 /// One view is a one-view catalog.
 fn one_view(store: Store, q: &str) -> ViewCatalog {
@@ -58,17 +63,14 @@ fn join_multiplicities_survive_partial_delete() {
     // 2 Twin books × 2 Twin entries = 4 hits + 1 Solo hit.
     assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 5);
     // Delete ONE Twin book: 2 hits remain from the other Twin book.
-    let _ = cat
-        .apply_update_script(r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#)
-        .unwrap();
+    let _ = apply(&mut cat, r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#);
     assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 3);
     cat.verify_all().unwrap();
     // Delete the second Twin book: only Solo remains.
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book where $b/title = "Twin" update $b delete $b"#,
-        )
-        .unwrap();
+    let _ = apply(
+        &mut cat,
+        r#"for $b in document("bib.xml")/bib/book where $b/title = "Twin" update $b delete $b"#,
+    );
     assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 1);
     assert!(cat.extent_xml("v").unwrap().contains("<price>30</price>"));
     cat.verify_all().unwrap();
@@ -79,9 +81,7 @@ fn distinct_value_survives_until_last_witness_gone() {
     let mut cat = one_view(dup_store(), GROUPED_VIEW);
     assert!(cat.extent_xml("v").unwrap().contains(r#"<g Y="1994">"#));
     // Two 1994 books: deleting one keeps the group.
-    let _ = cat
-        .apply_update_script(r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#)
-        .unwrap();
+    let _ = apply(&mut cat, r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b"#);
     assert!(
         cat.extent_xml("v").unwrap().contains(r#"<g Y="1994">"#),
         "{}",
@@ -89,11 +89,10 @@ fn distinct_value_survives_until_last_witness_gone() {
     );
     cat.verify_all().unwrap();
     // Deleting the second removes the whole group fragment at once (§8.3.2).
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
-        )
-        .unwrap();
+    let _ = apply(
+        &mut cat,
+        r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
+    );
     assert!(!cat.extent_xml("v").unwrap().contains("1994"));
     cat.verify_all().unwrap();
 }
@@ -102,12 +101,11 @@ fn distinct_value_survives_until_last_witness_gone() {
 fn entry_side_deletes_decrement_join_hits() {
     let mut cat = one_view(dup_store(), JOIN_VIEW);
     // Delete one Twin entry: each Twin book loses one pairing (4 → 2).
-    let _ = cat
-        .apply_update_script(
-            r#"for $e in document("prices.xml")/prices/entry where $e/price = "10"
+    let _ = apply(
+        &mut cat,
+        r#"for $e in document("prices.xml")/prices/entry where $e/price = "10"
            update $e delete $e"#,
-        )
-        .unwrap();
+    );
     assert_eq!(cat.extent_xml("v").unwrap().matches("<hit").count(), 3);
     cat.verify_all().unwrap();
 }
@@ -115,18 +113,16 @@ fn entry_side_deletes_decrement_join_hits() {
 #[test]
 fn reinsert_after_full_delete_recreates_nodes() {
     let mut cat = one_view(dup_store(), GROUPED_VIEW);
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
-        )
-        .unwrap();
+    let _ = apply(
+        &mut cat,
+        r#"for $b in document("bib.xml")/bib/book where $b/@year = "1994" update $b delete $b"#,
+    );
     assert!(!cat.extent_xml("v").unwrap().contains("1994"));
-    let _ = cat
-        .apply_update_script(
-            r#"for $r in document("bib.xml")/bib update $r
+    let _ = apply(
+        &mut cat,
+        r#"for $r in document("bib.xml")/bib update $r
            insert <book year="1994"><title>Twin</title></book> into $r"#,
-        )
-        .unwrap();
+    );
     // The group returns, with both Twin prices, count rebuilt from scratch.
     let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains(r#"<g Y="1994">"#), "{xml}");
@@ -141,19 +137,17 @@ fn insert_then_delete_across_batches_nets_zero() {
     // a same-batch insert. Across batches, insert-then-delete nets zero.)
     let mut cat = one_view(dup_store(), GROUPED_VIEW);
     let before = cat.extent_xml("v").unwrap();
-    let _ = cat
-        .apply_update_script(
-            r#"for $r in document("bib.xml")/bib update $r
+    let _ = apply(
+        &mut cat,
+        r#"for $r in document("bib.xml")/bib update $r
            insert <book year="1977"><title>Ghost</title></book> into $r"#,
-        )
-        .unwrap();
+    );
     assert!(cat.extent_xml("v").unwrap().contains("1977"));
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book where $b/@year = "1977"
+    let _ = apply(
+        &mut cat,
+        r#"for $b in document("bib.xml")/bib/book where $b/@year = "1977"
            update $b delete $b"#,
-        )
-        .unwrap();
+    );
     assert_eq!(cat.extent_xml("v").unwrap(), before);
     cat.verify_all().unwrap();
 }
@@ -165,22 +159,18 @@ fn update_inside_bound_fragment_adjusts_content_not_existence() {
     let mut s = Store::new();
     s.load_doc("bib.xml", r#"<bib><book year="1994"><title>Solo</title></book></bib>"#).unwrap();
     let mut cat = one_view(s, r#"<r>{ for $b in doc("bib.xml")/bib/book return $b }</r>"#);
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book[1]
+    let _ = apply(
+        &mut cat,
+        r#"for $b in document("bib.xml")/bib/book[1]
            update $b insert <note>annotated</note> into $b"#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert_eq!(xml.matches("<book").count(), 1, "book still derived once: {xml}");
     assert!(xml.contains("<note>annotated</note>"));
     cat.verify_all().unwrap();
     // And deleting that inner node restores the original content.
-    let _ = cat
-        .apply_update_script(
-            r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b/note"#,
-        )
-        .unwrap();
+    let _ =
+        apply(&mut cat, r#"for $b in document("bib.xml")/bib/book[1] update $b delete $b/note"#);
     assert!(!cat.extent_xml("v").unwrap().contains("note"));
     cat.verify_all().unwrap();
 }

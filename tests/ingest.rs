@@ -2,7 +2,7 @@
 //!
 //! * **Round trip** — parsing a script into an [`UpdateBatch`] and
 //!   submitting it through an [`IngestHub`] session must yield extents
-//!   identical to the legacy `apply_update_script` path, with the
+//!   identical to applying the parsed batch directly, with the
 //!   `verify_all()` recompute oracle holding after every boundary.
 //! * **Backpressure** — the bounded session queue must reject (not block,
 //!   not grow) once at capacity, and recover after a drain.
@@ -16,6 +16,11 @@ use xqview::viewsrv::{
 };
 use xqview::xquery_lang::{CmpOp, InsertPosition};
 use xqview::Store;
+
+/// Scripts are parsed at the edge, once, into typed batches.
+fn parse(script: &str) -> UpdateBatch {
+    UpdateBatch::from_script(script).unwrap()
+}
 
 const FLAT_VIEW: &str = r#"<result>{
   for $b in doc("bib.xml")/bib/book
@@ -100,15 +105,15 @@ fn shutdown_verified(hub: IngestHub) -> Vec<String> {
 // ── Round trips ─────────────────────────────────────────────────────────
 
 /// Acceptance criterion: script → typed ops → session submission produces
-/// extents identical to the legacy script path, with the recompute oracle
-/// holding after every commit boundary.
+/// extents identical to applying each parsed batch directly, with the
+/// recompute oracle holding after every commit boundary.
 #[test]
 fn session_round_trip_matches_legacy_script_path() {
     let mut legacy = catalog();
     let typed = hub(catalog(), 64, 256);
     let session = typed.handle();
     for script in SCRIPTS {
-        let _ = legacy.apply_update_script(script).unwrap();
+        let _ = legacy.apply_batch(&parse(script)).unwrap();
 
         let batch = UpdateBatch::from_script(script).unwrap();
         session.try_submit(batch).unwrap();
@@ -128,12 +133,12 @@ fn session_round_trip_matches_legacy_script_path() {
 fn builder_ops_match_script_ops() {
     let mut by_script = catalog();
     let _ = by_script
-        .apply_update_script(
+        .apply_batch(&parse(
             r#"for $r in document("bib.xml")/bib update $r
                insert <book year="2002"><title>Built</title></book> into $r ;
                for $b in document("bib.xml")/bib/book where $b/@year = "2000"
                update $b delete $b"#,
-        )
+        ))
         .unwrap();
 
     let mut by_builder = catalog();
@@ -221,18 +226,18 @@ fn session_receipt_aggregates_across_drain_rounds() {
     let hub = hub(catalog(), 4, 100);
     let session = hub.handle();
     session
-        .try_submit_script(
+        .try_submit(parse(
             r#"for $r in document("bib.xml")/bib update $r
                insert <book year="1994"><title>A</title></book> into $r"#,
-        )
+        ))
         .unwrap();
     assert_eq!(hub.drain_now(), 1);
     assert_eq!(session.applied_batches(), 1);
     session
-        .try_submit_script(
+        .try_submit(parse(
             r#"for $r in document("prices.xml")/prices update $r
                insert <entry><price>1.00</price><b-title>A</b-title></entry> into $r"#,
-        )
+        ))
         .unwrap();
     let receipt = session.commit().unwrap();
     assert_eq!(receipt.batches_submitted, 2);
@@ -298,21 +303,19 @@ fn duplicate_register_and_missing_drop_error() {
     cat.verify_all().unwrap();
 }
 
+/// Malformed scripts fail at the edge, in `UpdateBatch::from_script`,
+/// before any catalog sees them (so nothing can be mutated); the parse
+/// error maps onto the catalog's maintenance error.
 #[test]
 fn malformed_scripts_error_without_mutating() {
-    let mut cat = catalog();
-    let before = extents(&cat);
     for bad in [
         "garbage",
         "for $b in doc(\"bib.xml\")/bib",
         "for $b in doc(\"bib.xml\")/r update $c delete $c",
     ] {
-        assert!(UpdateBatch::from_script(bad).is_err(), "{bad:?} must not parse");
-        let err = cat.apply_update_script(bad).unwrap_err();
-        assert!(matches!(err, CatalogError::Maint(_)), "got {err:?}");
+        let err = CatalogError::from(UpdateBatch::from_script(bad).unwrap_err());
+        assert!(matches!(err, CatalogError::Maint(_)), "{bad:?} must not parse; got {err:?}");
     }
-    assert_eq!(extents(&cat), before, "failed parses must not touch extents");
-    cat.verify_all().unwrap();
 }
 
 #[test]
@@ -327,7 +330,7 @@ fn errors_implement_std_error_end_to_end() {
     // A catalog failure threads its source chain through IngestError.
     let hub = hub(catalog(), 64, 256);
     let session = hub.handle();
-    session.try_submit_script(r#"for $b in document("ghost.xml")/r update $b delete $b"#).unwrap();
+    session.try_submit(parse(r#"for $b in document("ghost.xml")/r update $b delete $b"#)).unwrap();
     let err = session.commit().unwrap_err();
     let dynamic: &dyn StdError = &err;
     let source = dynamic.source().expect("catalog error is the source");
@@ -344,12 +347,12 @@ fn failed_commit_requeues_chunk_and_keeps_receipts() {
     let hub = hub(catalog(), 8, 1);
     let session = hub.handle();
     session
-        .try_submit_script(
+        .try_submit(parse(
             r#"for $r in document("bib.xml")/bib update $r
                insert <book year="1994"><title>Good</title></book> into $r"#,
-        )
+        ))
         .unwrap();
-    session.try_submit_script(r#"for $b in document("ghost.xml")/r update $b delete $b"#).unwrap();
+    session.try_submit(parse(r#"for $b in document("ghost.xml")/r update $b delete $b"#)).unwrap();
     assert!(session.commit().is_err());
     assert_eq!(session.applied_batches(), 1, "the good chunk's receipt survives the error");
     assert_eq!(session.queued_batches(), 1, "the failing chunk is back on the queue");

@@ -7,7 +7,12 @@
 //! failing case prints its seed so it can be replayed by hardcoding it.
 
 use rand::prelude::*;
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 /// One view is a one-view catalog.
 fn one_view(store: Store, q: &str) -> ViewCatalog {
@@ -163,7 +168,7 @@ fn check_sequence(view: &str, books: Vec<(u8, u16)>, entries: Vec<(u8, u16)>, op
     cat.verify_all().unwrap_or_else(|e| panic!("initial materialization: {e}"));
     for (i, op) in ops.iter().enumerate() {
         let _ = cat
-            .apply_update_script(&op_script(op))
+            .apply_batch(&UpdateBatch::from_script(&op_script(op)).unwrap())
             .unwrap_or_else(|e| panic!("step {i} {op:?}: {e}"));
         cat.verify_all().unwrap_or_else(|e| panic!("divergence after step {i}: {op:?}: {e}"));
         // The oracle compares maintenance against recomputation over the
@@ -246,11 +251,10 @@ fn scaled_datagen_documents_roundtrip() {
     let mut cat = one_view(s, GROUPED_VIEW);
     cat.verify_all().unwrap();
     // A generated mixed workload.
-    let _ =
-        cat.apply_update_script(&datagen::insert_books_script(&cfg, 60, 4, Some(1903))).unwrap();
+    let _ = apply(&mut cat, &datagen::insert_books_script(&cfg, 60, 4, Some(1903)));
     cat.verify_all().unwrap();
-    let _ = cat.apply_update_script(&datagen::delete_books_script(10, 5)).unwrap();
+    let _ = apply(&mut cat, &datagen::delete_books_script(10, 5));
     cat.verify_all().unwrap();
-    let _ = cat.apply_update_script(&datagen::modify_prices_script(2, 3, "11.11")).unwrap();
+    let _ = apply(&mut cat, &datagen::modify_prices_script(2, 3, "11.11"));
     cat.verify_all().unwrap();
 }

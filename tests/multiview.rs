@@ -6,7 +6,12 @@
 //! service statistics must prove that irrelevant views were skipped by the
 //! SAPT relevancy routing rather than propagated to.
 
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 const FLAT_VIEW: &str = r#"<result>{
   for $b in doc("bib.xml")/bib/book
@@ -105,8 +110,9 @@ fn every_extent_equals_recompute_after_every_script() {
     let mut cat = full_catalog();
     cat.verify_all().expect("initial materialization");
     for (i, script) in SCRIPTS.iter().enumerate() {
-        let _ =
-            cat.apply_update_script(script).unwrap_or_else(|e| panic!("script {i} failed: {e}"));
+        let _ = cat
+            .apply_batch(&UpdateBatch::from_script(script).unwrap())
+            .unwrap_or_else(|e| panic!("script {i} failed: {e}"));
         cat.verify_all().unwrap_or_else(|e| panic!("after script {i}: {e}"));
     }
     // Spot-check final content.
@@ -118,12 +124,11 @@ fn every_extent_equals_recompute_after_every_script() {
 fn prices_update_never_propagates_to_bib_only_view() {
     let mut cat = full_catalog();
     let flat_before = cat.extent_xml("flat").unwrap();
-    let batch = cat
-        .apply_update_script(
-            r#"for $r in document("prices.xml")/prices update $r
+    let batch = apply(
+        &mut cat,
+        r#"for $r in document("prices.xml")/prices update $r
                insert <entry><price>1.99</price><b-title>Cheap</b-title></entry> into $r"#,
-        )
-        .unwrap();
+    );
     // flat reads only bib.xml: skipped by the relevancy index.
     assert!(batch.views_skipped > 0, "irrelevant view count must be positive");
     assert_eq!(batch.views_routed, 3, "join, grouped, prices_only");
@@ -135,7 +140,7 @@ fn prices_update_never_propagates_to_bib_only_view() {
 fn skipping_shows_up_in_cumulative_stats() {
     let mut cat = full_catalog();
     for script in SCRIPTS {
-        let _ = cat.apply_update_script(script).unwrap();
+        let _ = apply(&mut cat, script);
     }
     let s = cat.stats();
     assert_eq!(s.batches, SCRIPTS.len());
@@ -166,9 +171,9 @@ fn catalog_agrees_with_independent_one_view_catalogs() {
         })
         .collect();
     for script in SCRIPTS {
-        let _ = cat.apply_update_script(script).unwrap();
+        let _ = apply(&mut cat, script);
         for (name, solo) in &mut solos {
-            let _ = solo.apply_update_script(script).unwrap();
+            let _ = apply(solo, script);
             assert_eq!(
                 cat.extent_xml(name).unwrap(),
                 solo.extent_xml(name).unwrap(),
@@ -182,13 +187,13 @@ fn catalog_agrees_with_independent_one_view_catalogs() {
 #[test]
 fn register_and_drop_mid_stream() {
     let mut cat = full_catalog();
-    let _ = cat.apply_update_script(SCRIPTS[0]).unwrap();
+    let _ = apply(&mut cat, SCRIPTS[0]);
     cat.drop_view("grouped").unwrap();
-    let _ = cat.apply_update_script(SCRIPTS[1]).unwrap();
+    let _ = apply(&mut cat, SCRIPTS[1]);
     // A view registered mid-stream materializes over the *current* store.
     cat.register("grouped2", GROUPED_VIEW).unwrap();
     for script in &SCRIPTS[2..] {
-        let _ = cat.apply_update_script(script).unwrap();
+        let _ = apply(&mut cat, script);
         cat.verify_all().unwrap();
     }
     assert_eq!(cat.view_names(), vec!["flat", "join", "prices_only", "grouped2"]);

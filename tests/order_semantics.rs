@@ -2,7 +2,12 @@
 //! paper distinguishes (§3.2) must hold in materialized views *and* survive
 //! incremental maintenance.
 
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 /// One view is a one-view catalog.
 fn one_view(store: Store, q: &str) -> ViewCatalog {
@@ -114,12 +119,13 @@ fn order_maintained_under_interleaving_inserts() {
         r#"<r>{ for $i in doc("lib.xml")/lib/item order by $i/name return $i/name }</r>"#,
     );
     for name in ["aardvark", "delta", "alpaca", "zeta"] {
-        let _ = cat
-            .apply_update_script(&format!(
+        let _ = apply(
+            &mut cat,
+            &format!(
                 r#"for $l in document("lib.xml")/lib update $l
                insert <item rank="9"><name>{name}</name></item> into $l"#
-            ))
-            .unwrap();
+            ),
+        );
         cat.verify_all().unwrap_or_else(|e| panic!("after {name}: {e}"));
     }
     let xml = cat.extent_xml("v").unwrap();
@@ -136,12 +142,11 @@ fn document_order_maintained_for_mid_document_insert() {
     let mut cat =
         one_view(store(), r#"<r>{ for $i in doc("lib.xml")/lib/item return $i/name }</r>"#);
     // Insert between gamma and alpha (document positions 1 and 2).
-    let _ = cat
-        .apply_update_script(
-            r#"for $i in document("lib.xml")/lib/item[1]
+    let _ = apply(
+        &mut cat,
+        r#"for $i in document("lib.xml")/lib/item[1]
            update $i insert <item rank="7"><name>middle</name></item> after $i"#,
-        )
-        .unwrap();
+    );
     assert_eq!(
         cat.extent_xml("v").unwrap(),
         "<r><name>gamma</name><name>middle</name><name>alpha</name><name>beta</name></r>"
@@ -158,13 +163,12 @@ fn modify_of_order_key_repositions_fragment() {
         store(),
         r#"<r>{ for $i in doc("lib.xml")/lib/item order by $i/name return <n>{$i/name}</n> }</r>"#,
     );
-    let _ = cat
-        .apply_update_script(
-            r#"for $i in document("lib.xml")/lib/item
+    let _ = apply(
+        &mut cat,
+        r#"for $i in document("lib.xml")/lib/item
            where $i/@rank = "3"
            update $i replace $i/name/text() with "aaa-first""#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert!(xml.starts_with("<r><n><name>aaa-first</name></n>"), "{xml}");
     cat.verify_all().unwrap();

@@ -14,10 +14,16 @@
 
 use exec::Executor;
 use viewsrv::{
-    DurableCatalog, HubConfig, HubInner, IngestError, RotatePolicy, UpdateBatch, ViewCatalog,
+    DurableCatalog, HubConfig, HubInner, IngestError, RotatePolicy, ServiceStats, UpdateBatch,
+    ViewCatalog,
 };
 use wire::frame;
 use xmlstore::Store;
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 fn bib_cfg() -> datagen::BibConfig {
     datagen::BibConfig { books: 60, years: 6, priced_ratio: 0.8, extra_entries: 6, seed: 11 }
@@ -125,8 +131,8 @@ fn selfjoin_term_parallelism_matches_oracle() {
         datagen::delete_books_script(1, 2),
         datagen::insert_books_script(&cfg, 600, 2, Some(1902)),
     ] {
-        let _ = serial.apply_update_script(&script).unwrap();
-        let _ = pooled.apply_update_script(&script).unwrap();
+        let _ = apply(&mut serial, &script);
+        let _ = apply(&mut pooled, &script);
         assert_eq!(serial.extent_xml("selfjoin").unwrap(), pooled.extent_xml("selfjoin").unwrap());
     }
     pooled.verify_all().unwrap();
@@ -177,10 +183,7 @@ fn drain_round_is_fair_across_sessions() {
     assert_eq!((lr.batches_submitted, lr.ops), (1, 1));
     drop(flood);
     drop(light);
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }
 
 /// The background drain applies submissions on its own after the time
@@ -220,10 +223,7 @@ fn background_drain_applies_within_the_window() {
         receipt.batches_applied
     );
     drop(writer);
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }
 
 /// Hub backpressure and lifecycle errors stay explicit: QueueFull hands
@@ -250,11 +250,7 @@ fn hub_backpressure_and_shutdown_errors() {
     }
     let receipt = writer.commit().unwrap();
     assert_eq!(receipt.batches_submitted, 2);
-    let shared = match hub.shutdown() {
-        HubInner::Volatile(cat) => cat,
-        HubInner::Durable(_) => unreachable!(),
-    };
-    shared.verify_all().unwrap();
+    hub.shutdown().catalog().verify_all().unwrap();
     // Every surviving-handle operation degrades gracefully after
     // shutdown — no panics, no aborts (regression: discard_queued used
     // to panic in a destructor here).
@@ -310,14 +306,11 @@ fn concurrent_producers_all_commit() {
             assert_eq!(receipt.ops, per_producer);
         }
     });
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => {
-            cat.verify_all().unwrap();
-            let books = cat.store().serialize_doc("bib.xml").unwrap().matches("<book").count();
-            assert_eq!(books, cfg.books + 3 * per_producer, "every op landed exactly once");
-        }
-        HubInner::Durable(_) => unreachable!(),
-    }
+    let inner = hub.shutdown();
+    let cat = inner.catalog();
+    cat.verify_all().unwrap();
+    let books = cat.store().serialize_doc("bib.xml").unwrap().matches("<book").count();
+    assert_eq!(books, cfg.books + 3 * per_producer, "every op landed exactly once");
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -371,10 +364,7 @@ fn group_commit_concurrent_commits_share_fsyncs() {
             h.join().expect("producer thread");
         }
     });
-    let cat = match hub.shutdown() {
-        HubInner::Durable(cat) => cat,
-        HubInner::Volatile(_) => unreachable!(),
-    };
+    let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
     let stats = cat.wal_sync_stats();
     assert_eq!(stats.synced_commits, 20, "every commit reached its durability point");
     assert!(
@@ -423,10 +413,7 @@ fn group_commit_crash_matrix_replays_every_prefix() {
             });
         }
     });
-    let cat = match hub.shutdown() {
-        HubInner::Durable(cat) => cat,
-        HubInner::Volatile(_) => unreachable!(),
-    };
+    let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
     cat.verify_all().unwrap();
     let gen = cat.generation();
     drop(cat);
@@ -509,10 +496,7 @@ fn hub_traffic_triggers_auto_rotation() {
         let _ = writer.commit().unwrap();
     }
     drop(writer);
-    let cat = match hub.shutdown() {
-        HubInner::Durable(cat) => cat,
-        HubInner::Volatile(_) => unreachable!(),
-    };
+    let HubInner::Durable(cat) = hub.shutdown() else { unreachable!("durable hub") };
     assert!(cat.generation() > gen0, "hub commits rotated the WAL");
     assert!(cat.wal_records() < 2, "the tail never outgrows the policy");
     cat.verify_all().unwrap();
@@ -563,10 +547,7 @@ fn failed_chunk_isolated_to_its_session() {
     assert_eq!(receipt.batches_applied, 0);
     drop(good);
     drop(bad);
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }
 
 /// ISSUE 5 satellite (regression): a drain round that panics while the
@@ -619,10 +600,7 @@ fn shutdown_survives_a_panicking_drain_round() {
 
     // The regression itself: shutdown completes and hands the catalog
     // back instead of deadlocking.
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }
 
 /// ISSUE 5 acceptance: producers keep committing through the hub while a
@@ -680,10 +658,7 @@ fn producers_commit_during_forced_checkpoint_without_stalls() {
     release.send(()).unwrap();
     blocker.wait();
     drop(writer);
-    let mut cat = match hub.shutdown() {
-        HubInner::Durable(cat) => cat,
-        HubInner::Volatile(_) => unreachable!(),
-    };
+    let HubInner::Durable(mut cat) = hub.shutdown() else { unreachable!("durable hub") };
     assert!(cat.generation() > gen0, "the forced checkpoint really fired mid-phase");
     cat.settle_checkpoint();
     assert_eq!(cat.last_checkpoint_error(), None);
@@ -767,8 +742,5 @@ fn panic_after_an_applied_chunk_releases_all_sessions() {
     drop(untouched);
     drop(acked);
     drop(hit);
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }

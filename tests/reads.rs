@@ -10,7 +10,7 @@
 
 use exec::Executor;
 use std::sync::atomic::{AtomicBool, Ordering};
-use viewsrv::{HubConfig, HubInner, IngestError, UpdateBatch, ViewCatalog};
+use viewsrv::{HubConfig, IngestError, UpdateBatch, ViewCatalog};
 use xmlstore::Store;
 
 fn bib_cfg() -> datagen::BibConfig {
@@ -176,18 +176,15 @@ fn hammer_and_verify(pool_threads: usize) {
         final_epoch.verify().unwrap();
         verified += 1;
 
-        match hub.shutdown() {
-            HubInner::Volatile(cat) => {
-                cat.verify_all().unwrap();
-                for (name, _) in view_defs() {
-                    assert_eq!(
-                        final_epoch.extent_bytes(name).unwrap(),
-                        cat.extent_bytes(name).unwrap(),
-                        "{name}: final epoch diverged from the shut-down catalog"
-                    );
-                }
-            }
-            HubInner::Durable(_) => unreachable!(),
+        let inner = hub.shutdown();
+        let cat = inner.catalog();
+        cat.verify_all().unwrap();
+        for (name, _) in view_defs() {
+            assert_eq!(
+                final_epoch.extent_bytes(name).unwrap(),
+                cat.extent_bytes(name).unwrap(),
+                "{name}: final epoch diverged from the shut-down catalog"
+            );
         }
     });
     assert!(epochs_seen >= 2, "the reader loop never sampled a live epoch");
@@ -240,34 +237,33 @@ fn pinned_epoch_is_immutable_and_multi_view_consistent() {
     assert_ne!(fresh.extent_bytes("titles").unwrap(), titles_before);
 
     drop(writer);
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    hub.shutdown().catalog().verify_all().unwrap();
 }
 
-/// The idle-republish timer (`epoch_ms`): with no write traffic at all,
-/// the hub still swaps fresh epochs so capture timestamps track wall
-/// time — same watermark, advancing sequence numbers.
+/// A panic inside `IngestHub::with_inner`'s closure hands the catalog
+/// back and publishes no epoch — the closure may have left mid-mutation
+/// state, and an epoch must only capture a consistent boundary — so a
+/// reader's sequence does not move. The hub keeps working: the next
+/// commit applies, the oracle holds, and shutdown returns.
 #[test]
-fn idle_hub_republishes_fresh_epochs() {
+fn with_inner_panic_hands_the_catalog_back() {
     let cfg = bib_cfg();
-    let hub = fresh_catalog(1, &cfg).into_hub(HubConfig { epoch_ms: 10, ..HubConfig::default() });
+    let hub = fresh_catalog(1, &cfg).into_hub(HubConfig::default());
     let mut rh = hub.read_handle();
-    let first = rh.pin();
-    let t0 = std::time::Instant::now();
-    let fresh = loop {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let e = rh.pin();
-        if e.seq() > first.seq() {
-            break e;
-        }
-        assert!(t0.elapsed().as_secs() < 5, "idle republish never fired");
-    };
-    assert_eq!(fresh.watermark(), first.watermark(), "idle republish must not invent batches");
-    assert!(fresh.age() <= first.age(), "the republished epoch is the younger one");
-    match hub.shutdown() {
-        HubInner::Volatile(cat) => cat.verify_all().unwrap(),
-        HubInner::Durable(_) => unreachable!(),
-    }
+    let seq = rh.pin().seq();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _: Option<()> = hub.with_inner(|inner| {
+            assert_eq!(inner.catalog().len(), view_defs().len());
+            panic!("injected with_inner panic");
+        });
+    }));
+    assert!(unwound.is_err(), "the closure's panic must surface");
+    assert_eq!(rh.pin().seq(), seq, "an unwound check-out published an epoch");
+
+    let writer = hub.handle();
+    writer.try_submit(insert_batch(&cfg, 0)).unwrap();
+    assert_eq!(writer.commit().unwrap().batches_applied, 1, "the catalog came back");
+    assert!(rh.pin().seq() > seq, "the commit's round publishes as usual");
+    drop(writer);
+    hub.shutdown().catalog().verify_all().unwrap();
 }

@@ -3,7 +3,12 @@
 //! heterogeneous Figure 1.3 updates in one batch, and the Figure 1.4
 //! expected refreshed extent.
 
-use xqview::{Store, ViewCatalog};
+use xqview::{ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 const BIB: &str = r#"<bib>
     <book year="1994"><title>TCP/IP Illustrated</title>
@@ -76,7 +81,7 @@ fn initial_extent_matches_figure_1_2b() {
 #[test]
 fn figure_1_3_batch_refreshes_to_figure_1_4() {
     let mut cat = running_example();
-    let stats = cat.apply_update_script(UPDATES).unwrap();
+    let stats = apply(&mut cat, UPDATES);
     assert_eq!(stats.views_routed, 3);
     // Figure 1.4: one yGroup (1994) with the TCP/IP entry (price now 70)
     // followed by the new Advanced-Programming entry (69.99); the 2000
@@ -99,7 +104,7 @@ fn figure_1_3_batch_refreshes_to_figure_1_4() {
 fn updates_applied_one_at_a_time_match_recompute_at_each_step() {
     let mut cat = running_example();
     for stmt in UPDATES.split(';').filter(|s| !s.trim().is_empty()) {
-        let _ = cat.apply_update_script(stmt).unwrap();
+        let _ = apply(&mut cat, stmt);
         cat.verify_all().unwrap_or_else(|e| panic!("after: {stmt}: {e}"));
     }
 }
@@ -109,12 +114,12 @@ fn figure_1_3a_insert_places_new_entry_in_document_order() {
     // §4.1: the new entry must come *second* in the 1994 group, because the
     // inserted book comes second among 1994 books in the source.
     let mut cat = running_example();
-    let _ = cat.apply_update_script(
+    let _ = apply(
+        &mut cat,
         r#"for $book in document("bib.xml")/bib/book[2]
            update $book
            insert <book year="1994"><title>Advanced Programming in the Unix environment</title></book> after $book"#,
-    )
-    .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     let tcp = xml.find("TCP/IP Illustrated").unwrap();
     let adv = xml.find("Advanced Programming").unwrap();
@@ -127,13 +132,12 @@ fn figure_1_3b_delete_removes_entire_ygroup_fragment() {
     // §1.2: deleting the only 2000 book must delete the whole yGroup
     // fragment (root disconnect), not just the entry.
     let mut cat = running_example();
-    let _ = cat
-        .apply_update_script(
-            r#"for $book in document("bib.xml")/bib/book
+    let _ = apply(
+        &mut cat,
+        r#"for $book in document("bib.xml")/bib/book
            where $book/title = "Data on the Web"
            update $book delete $book"#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert!(!xml.contains("2000"), "{xml}");
     assert!(xml.contains(r#"<yGroup Y="1994">"#));
@@ -145,22 +149,21 @@ fn delete_one_of_two_books_keeps_shared_group() {
     // Multiple derivations (§1.2): with two 1994 books, deleting one keeps
     // the group — the counting solution at work.
     let mut cat = running_example();
-    let _ = cat.apply_update_script(
+    let _ = apply(
+        &mut cat,
         r#"for $book in document("bib.xml")/bib/book[1]
            update $book
            insert <book year="1994"><title>Advanced Programming in the Unix environment</title></book> after $book"#,
-    )
-    .unwrap();
+    );
     cat.verify_all().unwrap();
     // Now delete the original 1994 book; the group must survive with the
     // other book's entry.
-    let _ = cat
-        .apply_update_script(
-            r#"for $book in document("bib.xml")/bib/book
+    let _ = apply(
+        &mut cat,
+        r#"for $book in document("bib.xml")/bib/book
            where $book/title = "TCP/IP Illustrated"
            update $book delete $book"#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains(r#"<yGroup Y="1994">"#), "{xml}");
     assert!(xml.contains("Advanced Programming"));
@@ -171,13 +174,12 @@ fn delete_one_of_two_books_keeps_shared_group() {
 #[test]
 fn figure_1_3c_modify_takes_fast_path_or_matches_recompute() {
     let mut cat = running_example();
-    let stats = cat
-        .apply_update_script(
-            r#"for $entry in document("prices.xml")/prices/entry
+    let stats = apply(
+        &mut cat,
+        r#"for $entry in document("prices.xml")/prices/entry
                where $entry/b-title = "TCP/IP Illustrated"
                update $entry replace $entry/price/text() with "70""#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert!(xml.contains("<price>70</price>"), "{xml}");
     assert!(!xml.contains("65.95"));
@@ -192,13 +194,12 @@ fn modify_of_predicate_path_regroups_correctly() {
     // Replacing a *join-relevant* value (b-title) must move entries between
     // groups — the slow (delete+insert of the bound fragment) path.
     let mut cat = running_example();
-    let _ = cat
-        .apply_update_script(
-            r#"for $entry in document("prices.xml")/prices/entry
+    let _ = apply(
+        &mut cat,
+        r#"for $entry in document("prices.xml")/prices/entry
            where $entry/b-title = "TCP/IP Illustrated"
            update $entry replace $entry/b-title/text() with "Data on the Web""#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     cat.verify_all().unwrap();
     // The 65.95 entry now matches the 2000 book ("Data on the Web"), so the
@@ -217,12 +218,11 @@ fn modify_of_predicate_path_regroups_correctly() {
 fn irrelevant_updates_touch_sources_only() {
     let mut cat = running_example();
     let before = cat.extent_xml("v").unwrap();
-    let stats = cat
-        .apply_update_script(
-            r#"for $r in document("bib.xml")/bib
+    let stats = apply(
+        &mut cat,
+        r#"for $r in document("bib.xml")/bib
                update $r insert <journal><name>TODS</name></journal> into $r"#,
-        )
-        .unwrap();
+    );
     assert_eq!(stats.views_skipped, 1);
     assert_eq!(stats.views_routed, 0);
     assert_eq!(cat.extent_xml("v").unwrap(), before);
@@ -246,7 +246,7 @@ fn mixed_large_batch_remains_consistent() {
       where $b/title = "TCP/IP Illustrated"
       update $b replace $b/title/text() with "TCP/IP Illustrated Vol 1"
     "#;
-    let _ = cat.apply_update_script(script).unwrap();
+    let _ = apply(&mut cat, script);
     cat.verify_all().unwrap();
 }
 
@@ -255,20 +255,21 @@ fn repeated_insert_delete_cycles_stay_consistent() {
     let mut cat = running_example();
     for i in 0..6 {
         let year = if i % 2 == 0 { "1994" } else { "2001" };
-        let _ = cat.apply_update_script(&format!(
-            r#"for $r in document("bib.xml")/bib
+        let _ = apply(
+            &mut cat,
+            &format!(
+                r#"for $r in document("bib.xml")/bib
                update $r insert <book year="{year}"><title>Advanced Programming in the Unix environment</title></book> into $r"#,
-        ))
-        .unwrap();
+            ),
+        );
         cat.verify_all().unwrap_or_else(|e| panic!("after insert {i}: {e}"));
         if i % 3 == 2 {
-            let _ = cat
-                .apply_update_script(
-                    r#"for $b in document("bib.xml")/bib/book
+            let _ = apply(
+                &mut cat,
+                r#"for $b in document("bib.xml")/bib/book
                    where $b/@year = "2001"
                    update $b delete $b"#,
-                )
-                .unwrap();
+            );
             cat.verify_all().unwrap_or_else(|e| panic!("after delete {i}: {e}"));
         }
     }

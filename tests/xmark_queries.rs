@@ -4,7 +4,12 @@
 
 use xqview::xat::exec::ExecOptions;
 use xqview::xat::translate::translate_query;
-use xqview::{Executor, Store, ViewCatalog};
+use xqview::{Executor, ServiceStats, Store, UpdateBatch, ViewCatalog};
+
+/// Parse `script` at the edge and maintain every view for it.
+fn apply(cat: &mut ViewCatalog, script: &str) -> ServiceStats {
+    cat.apply_batch(&UpdateBatch::from_script(script).unwrap()).unwrap().stats
+}
 
 /// One view is a one-view catalog.
 fn one_view(store: Store, q: &str) -> ViewCatalog {
@@ -114,14 +119,14 @@ fn q4_construction_heavy_result_shape() {
 fn q2_view_maintains_under_person_inserts() {
     let s = site(20);
     let mut cat = one_view(s, Q2);
-    let _ = cat.apply_update_script(
+    let _ = apply(
+        &mut cat,
         r#"for $p in document("site.xml")/site/people
            update $p insert <person id="personX" income="1"><name>X</name>
            <address><street>1 A</street><city>AaNewCity</city><country>X</country></address>
            <profile><education>Other</education><gender>male</gender><business>No</business><age>9</age></profile>
            </person> into $p"#,
-    )
-    .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert!(xml.starts_with("<result><city>AaNewCity</city>"), "new city sorts first: {xml}");
     cat.verify_all().unwrap();
@@ -132,25 +137,23 @@ fn q3_join_view_maintains_under_auction_updates() {
     let s = site(20);
     let mut cat = one_view(s, Q3);
     let before_dates = cat.extent_xml("v").unwrap().matches("<date>").count();
-    let _ = cat
-        .apply_update_script(
-            r#"for $c in document("site.xml")/site/closed_auctions
+    let _ = apply(
+        &mut cat,
+        r#"for $c in document("site.xml")/site/closed_auctions
            update $c insert <closed_auction><seller person="person0"/><buyer person="person1"/>
            <date>01/01/2099</date></closed_auction> into $c"#,
-        )
-        .unwrap();
+    );
     let xml = cat.extent_xml("v").unwrap();
     assert_eq!(xml.matches("<date>").count(), before_dates + 1);
     assert!(xml.contains("01/01/2099"));
     cat.verify_all().unwrap();
     // Self-join document (both sides read site.xml): delete the auction.
-    let _ = cat
-        .apply_update_script(
-            r#"for $a in document("site.xml")/site/closed_auctions/closed_auction
+    let _ = apply(
+        &mut cat,
+        r#"for $a in document("site.xml")/site/closed_auctions/closed_auction
            where $a/date = "01/01/2099"
            update $a delete $a"#,
-        )
-        .unwrap();
+    );
     assert_eq!(cat.extent_xml("v").unwrap().matches("<date>").count(), before_dates);
     cat.verify_all().unwrap();
 }
@@ -159,12 +162,11 @@ fn q3_join_view_maintains_under_auction_updates() {
 fn q1_view_maintains_under_profile_modify() {
     let s = site(15);
     let mut cat = one_view(s, Q1);
-    let _ = cat
-        .apply_update_script(
-            r#"for $p in document("site.xml")/site/people/person[3]
+    let _ = apply(
+        &mut cat,
+        r#"for $p in document("site.xml")/site/people/person[3]
            update $p replace $p/profile/age with "99""#,
-        )
-        .unwrap();
+    );
     assert!(cat.extent_xml("v").unwrap().contains("<age>99</age>"));
     cat.verify_all().unwrap();
 }
