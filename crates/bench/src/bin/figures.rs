@@ -12,6 +12,7 @@
 //! (selectivity), `fig9_4` (insert size), `fig9_5` (delete size), `fig9_6`
 //! (fragment deletion).
 
+use std::sync::Arc;
 use std::time::Instant;
 use viewsrv::UpdateBatch;
 use vpa_bench::*;
@@ -780,9 +781,11 @@ fn fig9_6_fragment_delete() {
         // (a) Naive apply baseline ([LD00]-style): delete every descendant
         // of the doomed fragment one by one inside the extent.
         let naive = {
-            let mut extent = cat.view("v").unwrap().extent().clone();
+            // A private deep copy, so the timed walk never unshares.
+            let mut roots: Vec<_> =
+                cat.view("v").unwrap().extent().roots.iter().map(|r| deep_copy(r)).collect();
             let t = Instant::now();
-            let n = delete_node_by_node(&mut extent.roots);
+            let n = delete_node_by_node(&mut roots);
             assert!(n >= fragment_nodes - 1);
             t.elapsed()
         };
@@ -797,11 +800,11 @@ fn fig9_6_fragment_delete() {
                 count: -extent.roots[0].children[0].count,
                 children: Vec::new(),
             };
-            let mut root_delta = extent.roots[0].clone();
-            root_delta.children = vec![doomed];
+            let mut root_delta = xat::VNode::clone(&extent.roots[0]);
+            root_delta.children = vec![Arc::new(doomed)];
             root_delta.count = 0;
             let t = Instant::now();
-            xat::extent::deep_union_siblings(&mut extent.roots, root_delta);
+            xat::extent::deep_union_siblings(&mut extent.roots, Arc::new(root_delta));
             let d = t.elapsed();
             assert!(extent.roots.is_empty() || extent.roots[0].children.is_empty());
             d
@@ -830,7 +833,7 @@ fn delete_node_by_node(roots: &mut Vec<xat::VNode>) -> usize {
                 n.children.remove(i);
                 return true;
             }
-            n.children.iter_mut().any(drop_one_leaf)
+            n.children.iter_mut().any(|c| drop_one_leaf(Arc::get_mut(c).expect("private copy")))
         }
         if drop_one_leaf(root) {
             removed += 1;
@@ -840,4 +843,10 @@ fn delete_node_by_node(roots: &mut Vec<xat::VNode>) -> usize {
         }
     }
     removed
+}
+
+/// An unshared copy of an extent subtree (`VNode::clone` is shallow).
+fn deep_copy(n: &xat::VNode) -> xat::VNode {
+    let children = n.children.iter().map(|c| Arc::new(deep_copy(c))).collect();
+    xat::VNode { sem: n.sem.clone(), data: n.data.clone(), count: n.count, children }
 }

@@ -22,6 +22,9 @@
 //!    count reaches zero is removed by disconnecting its root — an entire
 //!    fragment disappears without visiting descendants (§8.3.2), and
 //!    insertion positions come from the semantic ids' order prefixes.
+//!    Extents are persistent trees, so even right after an epoch or a
+//!    checkpoint captured one, Apply copies only the nodes on the delta's
+//!    path ([`MaintStats::extent_nodes_copied`]).
 //!
 //! [`MaintView`] is one view's definition, extent and VPA primitives, each
 //! taking the source store explicitly; [`MaintStats`] is its per-phase

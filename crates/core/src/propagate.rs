@@ -30,6 +30,7 @@
 //! byte-identical to the sequential telescoping regardless of pool size.
 
 use flexkey::FlexKey;
+use std::sync::Arc;
 use xat::exec::{ExecError, ExecOptions, ExecStats, Executor};
 use xat::plan::Plan;
 use xat::VNode;
@@ -59,15 +60,16 @@ pub fn propagate_batch(
     frag_roots: &[FlexKey],
     sign: i64,
     opts: ExecOptions,
-) -> Result<(Vec<VNode>, ExecStats), ExecError> {
-    let mut delta_roots: Vec<VNode> = Vec::new();
+) -> Result<(Vec<Arc<VNode>>, ExecStats), ExecError> {
+    let mut delta_roots = Vec::new();
     let mut stats = ExecStats::default();
     if frag_roots.is_empty() {
         return Ok((delta_roots, stats));
     }
     let k = plan.count_sources(doc);
     let store_is_post = sign > 0;
-    let run_term = |term: usize| -> Result<(Vec<VNode>, ExecStats), ExecError> {
+    type Term = Result<(Vec<Arc<VNode>>, ExecStats), ExecError>;
+    let run_term = |term: usize| -> Term {
         let imp = plan.imp_term(doc, term, store_is_post);
         let mut ex = Executor::with_options(store, opts);
         ex.set_delta(doc, frag_roots.to_vec(), sign);
@@ -84,7 +86,7 @@ pub fn propagate_batch(
     };
     // Same rule as the catalog's per-view rounds (`ViewCatalog::fans_out`).
     let fan_out = k > 1 && pool.threads() > 1 && frag_roots.len() > 1;
-    let terms: Vec<Result<(Vec<VNode>, ExecStats), ExecError>> =
+    let terms: Vec<Term> =
         if fan_out { pool.map((0..k).collect(), run_term) } else { (0..k).map(run_term).collect() };
     // Merge in term order: the telescoping sum is order-sensitive in its
     // intermediate shapes, and determinism across pool sizes depends on it.

@@ -11,11 +11,13 @@
 use crate::propagate::propagate_batch;
 use crate::update::UpdateError;
 use crate::validate::Sapt;
-use flexkey::{FlexKey, SemId};
+use flexkey::semid::SemBody;
+use flexkey::FlexKey;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use xat::exec::{ExecError, ExecOptions, ExecStats, Executor};
+use xat::extent::unshare;
 use xat::plan::Plan;
 use xat::translate::{translate_query, TranslateError};
 use xat::{VNode, ViewExtent};
@@ -42,6 +44,10 @@ pub struct MaintStats {
     pub irrelevant: usize,
     /// Modifies served by the in-place fast path.
     pub fast_modifies: usize,
+    /// Extent nodes Apply copied because an epoch, checkpoint or other
+    /// handle still shared them ([`xat::extent::unshare`]): the length of
+    /// the delta's path, never the size of the view.
+    pub extent_nodes_copied: u64,
 }
 
 impl MaintStats {
@@ -58,6 +64,7 @@ impl MaintStats {
         self.relevant += o.relevant;
         self.irrelevant += o.irrelevant;
         self.fast_modifies += o.fast_modifies;
+        self.extent_nodes_copied += o.extent_nodes_copied;
         self.exec.merge(&o.exec);
     }
 }
@@ -113,10 +120,11 @@ pub struct MaintView {
     plan: Plan,
     out_col: String,
     sapt: Sapt,
-    /// `Arc`-shared copy-on-write, like the store's node maps: a
-    /// checkpoint captures the extent by bumping the refcount
-    /// ([`MaintView::extent_shared`]), and the next mutation unshares it
-    /// once — capture cost is O(views), not O(materialized data).
+    /// A persistent tree, `Arc`-shared copy-on-write like the store's
+    /// pages: an epoch or checkpoint captures the extent by bumping the
+    /// refcount ([`MaintView::extent_shared`]), and the next mutation
+    /// copies only the nodes on its path — the rest stay shared with the
+    /// capture. Capture is O(views), a mutation O(delta path).
     extent: Arc<ViewExtent>,
     opts: ExecOptions,
     /// Worker pool the telescoped IMP terms fan out on (the shared global
@@ -233,7 +241,7 @@ impl MaintView {
         doc: &str,
         frag_roots: &[FlexKey],
         sign: i64,
-    ) -> Result<(Vec<VNode>, ExecStats), MaintError> {
+    ) -> Result<(Vec<Arc<VNode>>, ExecStats), MaintError> {
         Ok(propagate_batch(
             &self.pool,
             store,
@@ -247,9 +255,10 @@ impl MaintView {
     }
 
     /// Merge a delta update tree into the extent (count-aware deep union):
-    /// the Apply phase.
-    pub fn apply_delta(&mut self, delta: Vec<VNode>) {
-        xat::extent::union_many(&mut Arc::make_mut(&mut self.extent).roots, delta, false);
+    /// the Apply phase. Returns the number of shared extent nodes it copied
+    /// ([`MaintStats::extent_nodes_copied`]).
+    pub fn apply_delta(&mut self, delta: Vec<Arc<VNode>>) -> u64 {
+        xat::extent::union_many(&mut Arc::make_mut(&mut self.extent).roots, delta, false)
     }
 
     /// Replace the whole extent (recomputation fallback paths).
@@ -264,15 +273,27 @@ impl MaintView {
     }
 
     /// In-place fast path for content-only modifies (§6.5): patch every
-    /// extent copy of the text node stored under `text_key`.
-    pub fn patch_text_by_key(&mut self, text_key: &FlexKey, new_value: &str) {
-        let sem = SemId::base(text_key.clone());
-        let extent = Arc::make_mut(&mut self.extent);
-        let mut roots = std::mem::take(&mut extent.roots);
-        for root in &mut roots {
-            patch_text(root, sem.identity(), new_value);
+    /// extent copy of the text node stored under `text_key`. The matches
+    /// are found read-only first, so only their ancestor paths are copied
+    /// out of a shared extent; returns the number of nodes copied.
+    pub fn patch_text_by_key(&mut self, text_key: &FlexKey, new_value: &str) -> u64 {
+        let mut paths = Vec::new();
+        for (i, root) in self.extent.roots.iter().enumerate() {
+            find_paths(root, text_key, &mut vec![i], &mut paths);
         }
-        extent.roots = roots;
+        if paths.is_empty() {
+            return 0;
+        }
+        let mut copies = 0;
+        let roots = &mut Arc::make_mut(&mut self.extent).roots;
+        for path in paths {
+            let mut node = unshare(&mut roots[path[0]], &mut copies);
+            for &i in &path[1..] {
+                node = unshare(&mut node.children[i], &mut copies);
+            }
+            node.data = NodeData::text(new_value);
+        }
+        copies
     }
 }
 
@@ -367,14 +388,24 @@ pub fn text_node_key(store: &Store, target: &FlexKey) -> Option<FlexKey> {
     }
 }
 
-/// Patch every extent node whose identity matches `sem` (base text copies
-/// can be exposed several times) with the new text value.
-fn patch_text(node: &mut VNode, ident: &flexkey::semid::SemBody, new_value: &str) {
-    if node.sem.identity() == ident {
-        node.data = NodeData::text(new_value);
+/// Child-index paths (from the root index in `path`) of every extent copy
+/// of the base node `key` — base text copies can be exposed several times.
+/// A base subtree is a copy of the store subtree under its own key, so one
+/// whose key is not an ancestor of `key` is skipped whole.
+fn find_paths(node: &VNode, key: &FlexKey, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    if let SemBody::Base(k) = node.sem.identity() {
+        if k == key {
+            out.push(path.clone());
+            return;
+        }
+        if !k.is_self_or_ancestor_of(key) {
+            return;
+        }
     }
-    for c in &mut node.children {
-        patch_text(c, ident, new_value);
+    for (i, c) in node.children.iter().enumerate() {
+        path.push(i);
+        find_paths(c, key, path, out);
+        path.pop();
     }
 }
 
@@ -401,6 +432,7 @@ mod tests {
             relevant: seed as usize,
             irrelevant: seed as usize * 3,
             fast_modifies: seed as usize * 7,
+            extent_nodes_copied: seed * 23,
         }
     }
 
@@ -423,5 +455,170 @@ mod tests {
         let mut ba = b;
         ba.merge(a);
         assert_eq!(ab, ba, "commutativity");
+    }
+
+    /// Seeded LCG: the model test's only randomness.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// Titles exposed flat, and grouped under a per-year node whose count
+    /// is the number of books of that year — so deleting one book of a
+    /// shared year decrements a count instead of removing a node. Titles
+    /// are exposed content in both, which is what lets text modifies take
+    /// the `patch_text_by_key` fast path.
+    const MODEL_VIEWS: [&str; 2] = [
+        r#"<r>{ for $b in doc("bib.xml")/bib/book return <t>{$b/title}</t> }</r>"#,
+        r#"<r>{ for $y in distinct-values(doc("bib.xml")/bib/book/@year) order by $y
+              return <g Y="{$y}">{ for $b in doc("bib.xml")/bib/book
+                                   where $b/@year = $y return $b/title }</g> }</r>"#,
+    ];
+
+    /// What recomputation must reproduce of a maintained extent: every
+    /// node's identity, data and place in child order, and every count
+    /// below the roots. Two things legitimately drift and are left out: a
+    /// positional order key keeps the ordinal it was derived with (a
+    /// delete does not renumber the siblings after it; the order is
+    /// unchanged), and every delta adds one to the constructed wrapper
+    /// root's count (its delta root is a count-1 derivation, not a
+    /// zero-count carrier).
+    fn shape(e: &ViewExtent) -> String {
+        fn node(n: &VNode, count: bool, out: &mut String) {
+            out.push_str(&format!("{:?} {:?} ", n.sem.identity(), n.data));
+            if count {
+                out.push_str(&format!("{} ", n.count));
+            }
+            out.push('[');
+            for c in &n.children {
+                node(c, true, out);
+            }
+            out.push(']');
+        }
+        let mut out = String::new();
+        for r in &e.roots {
+            node(r, false, &mut out);
+        }
+        out
+    }
+
+    /// Seeded copy-on-write model test: random inserts, deletes (among them
+    /// count decrements of a shared year) and in-place text patches on
+    /// maintained extents, with `extent_shared` handles taken and dropped at
+    /// random. After every operation each held handle still encodes to the
+    /// bytes captured when it was taken, and each live extent has the
+    /// [`shape`] of its recomputation.
+    #[test]
+    fn model_cow_extent_random_ops_match_recompute() {
+        for seed in [1, 2] {
+            let mut rng = Lcg(seed);
+            let mut store = Store::new();
+            let seed_books: String = (0..6)
+                .map(|i| format!(r#"<book year="{}"><title>S{i}</title></book>"#, 1990 + i % 3))
+                .collect();
+            store.load_doc("bib.xml", &format!("<bib>{seed_books}</bib>")).unwrap();
+            let bib = store.doc_root("bib.xml").unwrap();
+            let mut views: Vec<MaintView> = MODEL_VIEWS
+                .iter()
+                .map(|q| {
+                    let mut v = MaintView::define(q).unwrap();
+                    v.materialize(&store).unwrap();
+                    v
+                })
+                .collect();
+            // (view, handle, its bytes when taken)
+            let mut held: Vec<(usize, Arc<ViewExtent>, Vec<u8>)> = Vec::new();
+            let (mut decrements, mut patches, mut copies) = (0, 0, 0);
+            for step in 0..200 {
+                let books = store.children_named(&bib, "book");
+                let year_of = |store: &Store, b: &FlexKey| {
+                    store.node(b).unwrap().data.attr("year").map(str::to_string)
+                };
+                match rng.below(10) {
+                    op if op < 4 || books.is_empty() => {
+                        let pos = match (rng.below(3), books.is_empty()) {
+                            (0, _) | (_, true) => InsertPos::First,
+                            (1, _) => InsertPos::Last,
+                            _ => InsertPos::After(books[rng.below(books.len())].clone()),
+                        };
+                        let frag = Frag::elem("book")
+                            .attr("year", (1990 + rng.below(4)).to_string())
+                            .child(Frag::elem("title").text_child(format!("T{step}")));
+                        let key = store.insert_fragment(&bib, pos, &frag).unwrap();
+                        for v in &mut views {
+                            let (delta, _) = v
+                                .propagate(&store, "bib.xml", std::slice::from_ref(&key), 1)
+                                .unwrap();
+                            copies += v.apply_delta(delta);
+                        }
+                    }
+                    4..=6 => {
+                        let victim = books[rng.below(books.len())].clone();
+                        let year = year_of(&store, &victim);
+                        decrements += usize::from(
+                            books.iter().filter(|b| year_of(&store, b) == year).count() > 1,
+                        );
+                        let deltas: Vec<_> = views
+                            .iter()
+                            .map(|v| {
+                                v.propagate(&store, "bib.xml", std::slice::from_ref(&victim), -1)
+                                    .unwrap()
+                                    .0
+                            })
+                            .collect();
+                        store.delete_subtree(&victim);
+                        for (v, delta) in views.iter_mut().zip(deltas) {
+                            copies += v.apply_delta(delta);
+                        }
+                    }
+                    _ => {
+                        let book = &books[rng.below(books.len())];
+                        let title = store.children_named(book, "title").remove(0);
+                        let text = text_node_key(&store, &title).unwrap();
+                        let value = format!("M{step}");
+                        assert!(store.replace_text(&title, &value));
+                        for v in &mut views {
+                            copies += v.patch_text_by_key(&text, &value);
+                        }
+                        patches += 1;
+                    }
+                }
+                if rng.below(3) == 0 {
+                    let i = rng.below(views.len());
+                    let handle = views[i].extent_shared();
+                    let bytes = wire::to_vec(&*handle);
+                    held.push((i, handle, bytes));
+                }
+                if !held.is_empty() && rng.below(4) == 0 {
+                    held.swap_remove(rng.below(held.len()));
+                }
+                for (i, handle, bytes) in &held {
+                    assert_eq!(
+                        &wire::to_vec(&**handle),
+                        bytes,
+                        "seed {seed} step {step}: view {i} handle moved"
+                    );
+                }
+                for (i, v) in views.iter().enumerate() {
+                    let oracle = v.compute_extent(&store).unwrap();
+                    assert_eq!(
+                        shape(v.extent()),
+                        shape(&oracle),
+                        "seed {seed} step {step}: view {i} diverged"
+                    );
+                }
+            }
+            assert!(
+                decrements > 0 && patches > 0 && copies > 0,
+                "seed {seed}: {decrements} decrements, {patches} patches, {copies} copies"
+            );
+        }
     }
 }

@@ -7,7 +7,11 @@
 //! the machinery PR 5 built for checkpoints: [`Store::frozen`] and
 //! `extent_shared` capture the whole catalog as refcount bumps —
 //! O(documents + views), not O(data) — so publishing a read snapshot
-//! after every applied round is nearly free.
+//! after every applied round is nearly free. Nor does the next round pay
+//! for it in O(data): store pages and extent nodes are both shared
+//! copy-on-write, so the first commit after a publish copies only the
+//! pages and the extent nodes on its delta's path, and retiring the
+//! superseded epoch frees only those.
 //!
 //! An [`Epoch`] is one such frozen `(Store, extents)` capture, stamped
 //! with the commit **watermark** (batches applied when it was taken) and

@@ -209,6 +209,9 @@ struct SlotMetrics {
     apply: Arc<obs::Histogram>,
 }
 
+/// One view's delta update tree: the roots a round propagates and applies.
+type Delta = Vec<Arc<VNode>>;
+
 /// One registered view: the store-less core plus its service bookkeeping.
 struct Slot {
     name: String,
@@ -659,9 +662,11 @@ impl ViewCatalog {
                 if let Some(tk) = text_key {
                     for (i, _) in &rel {
                         let tpatch = Instant::now();
-                        self.slots[*i].view.patch_text_by_key(&tk, new_value);
-                        self.slots[*i].stats.fast_modifies += 1;
-                        self.slots[*i].phase.apply.record_duration(tpatch.elapsed());
+                        let slot = &mut self.slots[*i];
+                        slot.stats.extent_nodes_copied +=
+                            slot.view.patch_text_by_key(&tk, new_value);
+                        slot.stats.fast_modifies += 1;
+                        slot.phase.apply.record_duration(tpatch.elapsed());
                     }
                 }
                 batch.apply += ta.elapsed();
@@ -807,12 +812,12 @@ impl ViewCatalog {
         roots_per_view: &BTreeMap<usize, Vec<FlexKey>>,
         sign: i64,
         fan_out: bool,
-    ) -> Result<Vec<(usize, Vec<VNode>)>, CatalogError> {
+    ) -> Result<Vec<(usize, Delta)>, CatalogError> {
         let store = &self.store;
         let slots = &self.slots;
         let jobs: Vec<(usize, &Vec<FlexKey>)> =
             roots_per_view.iter().map(|(&i, r)| (i, r)).collect();
-        type PropResult = Result<(Vec<VNode>, ExecStats), MaintError>;
+        type PropResult = Result<(Delta, ExecStats), MaintError>;
         let timed = |(i, roots): (usize, &Vec<FlexKey>)| -> (usize, PropResult, Duration) {
             let t0 = Instant::now();
             let r = slots[i].view.propagate(store, doc, roots, sign);
@@ -837,17 +842,17 @@ impl ViewCatalog {
 
     /// Merge each view's delta into its extent — independent extents, one
     /// pool job per view when the round fans out.
-    fn par_apply(&mut self, deltas: Vec<(usize, Vec<VNode>)>, fan_out: bool) {
-        let mut by_idx: BTreeMap<usize, Vec<VNode>> = deltas.into_iter().collect();
-        let work: Vec<(&mut Slot, Vec<VNode>)> = self
+    fn par_apply(&mut self, deltas: Vec<(usize, Delta)>, fan_out: bool) {
+        let mut by_idx: BTreeMap<usize, Delta> = deltas.into_iter().collect();
+        let work: Vec<(&mut Slot, Delta)> = self
             .slots
             .iter_mut()
             .enumerate()
             .filter_map(|(i, slot)| by_idx.remove(&i).map(|d| (slot, d)))
             .collect();
-        let apply_one = |(slot, delta): (&mut Slot, Vec<VNode>)| {
+        let apply_one = |(slot, delta): (&mut Slot, Delta)| {
             let t0 = Instant::now();
-            slot.view.apply_delta(delta);
+            slot.stats.extent_nodes_copied += slot.view.apply_delta(delta);
             let dur = t0.elapsed();
             slot.stats.apply += dur;
             slot.phase.apply.record_duration(dur);

@@ -6,6 +6,8 @@
 //! cargo run --example order_keys
 //! ```
 
+use std::sync::Arc;
+
 use xqview::xmlstore::InsertPos;
 use xqview::{Frag, Store, ViewCatalog};
 
@@ -69,7 +71,7 @@ fn main() {
     cat.verify_all().unwrap();
 }
 
-fn print_ids(nodes: &[xqview::xat::VNode], depth: usize) {
+fn print_ids(nodes: &[Arc<xqview::xat::VNode>], depth: usize) {
     for n in nodes {
         println!(
             "{:indent$}{:<10} sem = {}",

@@ -368,12 +368,15 @@ fn logical_counters_are_pool_size_invariant() {
         let name = format!("view/{view}/apply");
         assert!(a.histogram(&name).is_some_and(|h| h.count() > 0), "missing {name}");
         // The engine's row counters are logical too: the same IMP terms
-        // bind the same rows and probe the index as often at any width.
+        // bind the same rows and probe the index as often at any width,
+        // and Apply copies the same extent nodes out of the same epochs.
         let rows = |cat: &ViewCatalog| {
-            let exec = cat.view_stats(view).unwrap().exec;
-            (exec.source_rows, exec.index_probes)
+            let stats = cat.view_stats(view).unwrap();
+            (stats.exec.source_rows, stats.exec.index_probes, stats.extent_nodes_copied)
         };
-        assert_eq!(rows(&serial), rows(&wide), "{view}: exec counters diverged with pool width");
+        assert_eq!(rows(&serial), rows(&wide), "{view}: logical counters diverged with pool width");
     }
-    assert!(serial.view_stats("join").unwrap().exec.index_probes > 0, "the join view probes");
+    let join = serial.view_stats("join").unwrap();
+    assert!(join.exec.index_probes > 0, "the join view probes");
+    assert!(join.extent_nodes_copied > 0, "published epochs made Apply copy");
 }

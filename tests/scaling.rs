@@ -13,9 +13,20 @@
 //! Both counters must then come out identical at the two sizes, at a
 //! one-lane and an eight-lane pool, with every extent byte-identical to
 //! its recomputation.
+//!
+//! The Apply side has its own count: `MaintStats::extent_nodes_copied`,
+//! the extent nodes Apply had to copy because a published epoch still
+//! shared them. Extents are persistent trees, so a commit behind a pinned
+//! epoch copies only what its delta touches — the join view's root; the
+//! grouped view's year group, which is that view's whole delta — flat in
+//! document size, and every untouched subtree stays shared between the
+//! two epochs.
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use xqview::datagen::{self, BibConfig};
 use xqview::exec::Executor;
+use xqview::viewsrv::{Epoch, HubConfig};
 use xqview::xquery_lang::{CmpOp, InsertPosition};
 use xqview::{Store, UpdateBatch, UpdateOp, ViewCatalog};
 
@@ -40,10 +51,11 @@ const GROUPED_VIEW: &str = r#"<result>{
 }</result>"#;
 
 const BOOKS_PER_YEAR: usize = 50;
+const VIEWS: [&str; 2] = ["join", "grouped"];
 
-/// (source_rows, index_probes) per view after one insert and one delete of
-/// a priced book of year 1900, and the extents they leave.
-fn one_book_in_and_out(books: usize, lanes: usize) -> (Vec<(u64, u64)>, Vec<String>) {
+/// Both views over `books` books, and the insert and the delete of one
+/// priced book of year 1900.
+fn catalog_and_ops(books: usize, lanes: usize) -> (ViewCatalog, [UpdateOp; 2]) {
     let cfg = BibConfig {
         books,
         years: books / BOOKS_PER_YEAR,
@@ -66,16 +78,68 @@ fn one_book_in_and_out(books: usize, lanes: usize) -> (Vec<(u64, u64)>, Vec<Stri
     let delete = UpdateOp::delete("bib.xml", "/bib/book")
         .and_then(|op| op.filter("title", CmpOp::Eq, "Unlisted Volume 0003"))
         .unwrap();
-    for op in [insert, delete] {
+    (cat, [insert, delete])
+}
+
+/// (source_rows, index_probes) per view after the insert and the delete,
+/// and the extents they leave.
+fn one_book_in_and_out(books: usize, lanes: usize) -> (Vec<(u64, u64)>, Vec<String>) {
+    let (mut cat, ops) = catalog_and_ops(books, lanes);
+    for op in ops {
         let receipt = cat.apply_batch(&UpdateBatch::new().with(op)).unwrap();
         assert_eq!(receipt.resolved, 1, "{books} books: one book in, the same book out");
         assert_eq!(receipt.views_touched, ["join", "grouped"]);
         cat.verify_all().unwrap();
     }
-    let views = ["join", "grouped"];
     let counters =
-        views.map(|v| cat.view_stats(v).unwrap().exec).map(|e| (e.source_rows, e.index_probes));
-    (counters.to_vec(), views.map(|v| cat.extent_xml(v).unwrap()).to_vec())
+        VIEWS.map(|v| cat.view_stats(v).unwrap().exec).map(|e| (e.source_rows, e.index_probes));
+    (counters.to_vec(), VIEWS.map(|v| cat.extent_xml(v).unwrap()).to_vec())
+}
+
+/// Commit the insert, then the delete, through a volatile hub while a
+/// reader pins the epoch before each commit. Returns the extent nodes each
+/// commit copied, `[join, grouped]` per op, after checking two things: the
+/// copies stay within the delta (for `join` the root above the new or
+/// removed pair; for `grouped` the root plus the year-1900 group, which is
+/// what its delta carries under counting semantics), and every top-level
+/// child of `join` the commit did not touch is the very same node in the
+/// pinned and the new epoch.
+fn copies_behind_a_pinned_epoch(books: usize) -> Vec<[u64; 2]> {
+    let (cat, ops) = catalog_and_ops(books, 1);
+    let hub = cat.into_hub(HubConfig::default());
+    let mut rh = hub.read_handle();
+    let writer = hub.handle();
+    let copied = || {
+        hub.with_catalog(|c| VIEWS.map(|v| c.view_stats(v).unwrap().extent_nodes_copied)).unwrap()
+    };
+    let mut per_op = Vec::new();
+    for op in ops {
+        let (pinned, before) = (rh.pin(), copied());
+        writer.try_submit(UpdateBatch::new().with(op)).unwrap();
+        let _ = writer.commit().unwrap();
+        let (fresh, after) = (rh.pin(), copied());
+        assert!(fresh.seq() > pinned.seq(), "the commit published a new epoch");
+        let copies = [after[0] - before[0], after[1] - before[1]];
+        per_op.push(copies);
+        let year_group = |e: &Epoch| {
+            let root = &e.extent("grouped").unwrap().roots[0];
+            root.children.iter().find(|g| g.data.attr("Y") == Some("1900")).map_or(0, |g| g.size())
+        };
+        let delta_nodes = 1 + year_group(&pinned).max(year_group(&fresh));
+        assert!(copies[0] <= 1, "{books} books: join copied {}", copies[0]);
+        assert!(copies[1] <= delta_nodes as u64, "{books} books: grouped copied {copies:?}");
+
+        let children = |e: &Epoch| e.extent("join").unwrap().roots[0].children.clone();
+        let (old, new) = (children(&pinned), children(&fresh));
+        let old_ptrs: HashSet<_> = old.iter().map(Arc::as_ptr).collect();
+        let shared = new.iter().filter(|c| old_ptrs.contains(&Arc::as_ptr(c))).count();
+        assert_eq!(old.len().abs_diff(new.len()), 1, "{books} books: one pair in or out");
+        assert_eq!(shared, old.len().min(new.len()), "{books} books: untouched pairs shared");
+        pinned.verify().unwrap();
+    }
+    drop(writer);
+    hub.shutdown().catalog().verify_all().unwrap();
+    per_op
 }
 
 #[test]
@@ -98,4 +162,18 @@ fn maintenance_counters_are_flat_in_document_size() {
     let (wide, wide_extents) = one_book_in_and_out(2000, 8);
     assert_eq!(wide, large, "pool 8 vs pool 1 counters");
     assert_eq!(wide_extents, large_extents, "pool 8 vs pool 1 extents");
+}
+
+#[test]
+fn apply_behind_a_pinned_epoch_copies_the_delta_path() {
+    let small = copies_behind_a_pinned_epoch(500);
+    let large = copies_behind_a_pinned_epoch(2000);
+    assert_eq!(small, large, "[join, grouped] copies per op: 500 vs 2000 books");
+    println!(
+        "extent nodes copied per op [join, grouped]: insert {:?}, delete {:?}",
+        large[0], large[1]
+    );
+    // One copy for the join view (its root); the grouped view's count is
+    // the year group's size, until its delta carries the count alone.
+    assert!(large.iter().all(|[join, _]| *join == 1), "{large:?}");
 }
