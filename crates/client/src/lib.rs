@@ -1,7 +1,6 @@
 //! Blocking client for the xqview session protocol: a [`Client`] with
 //! one typed method per [`proto::Request`], plus an open-loop
-//! many-connection load generator ([`load`]) shared by `xqview-cli
-//! bench` and the `fig_net` benchmark.
+//! many-connection load generator ([`load`]) behind `xqview-cli bench`.
 //!
 //! ```no_run
 //! use client::Client;

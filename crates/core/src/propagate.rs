@@ -31,7 +31,7 @@
 
 use flexkey::FlexKey;
 use std::sync::Arc;
-use xat::exec::{ExecError, ExecOptions, ExecStats, Executor};
+use xat::exec::{ExecError, ExecStats, Executor};
 use xat::plan::Plan;
 use xat::VNode;
 use xmlstore::Store;
@@ -47,10 +47,6 @@ use xmlstore::Store;
 /// term order, so a one-update commit never waits on another core. The
 /// reported [`ExecStats`] are *summed across terms* — CPU-time-like, and
 /// possibly larger than the wall time of the call.
-// One parameter per VPA ingredient (pool, store, plan, output, delta
-// spec, options); bundling them into a struct would just rename the
-// argument list at the single internal call site.
-#[allow(clippy::too_many_arguments)]
 pub fn propagate_batch(
     pool: &exec::Executor,
     store: &Store,
@@ -59,7 +55,6 @@ pub fn propagate_batch(
     doc: &str,
     frag_roots: &[FlexKey],
     sign: i64,
-    opts: ExecOptions,
 ) -> Result<(Vec<Arc<VNode>>, ExecStats), ExecError> {
     let mut delta_roots = Vec::new();
     let mut stats = ExecStats::default();
@@ -71,7 +66,7 @@ pub fn propagate_batch(
     type Term = Result<(Vec<Arc<VNode>>, ExecStats), ExecError>;
     let run_term = |term: usize| -> Term {
         let imp = plan.imp_term(doc, term, store_is_post);
-        let mut ex = Executor::with_options(store, opts);
+        let mut ex = Executor::new(store);
         ex.set_delta(doc, frag_roots.to_vec(), sign);
         let table = ex.eval(&imp)?;
         if table.n_rows() == 0 {
@@ -132,17 +127,9 @@ mod tests {
             Frag::elem("book").attr("year", "1997").child(Frag::elem("title").text_child("C"));
         let new = s.insert_fragment(&bib, InsertPos::Last, &frag).unwrap();
 
-        let (delta, _) = propagate_batch(
-            exec::Executor::global(),
-            &s,
-            &plan,
-            &col,
-            "bib.xml",
-            &[new],
-            1,
-            ExecOptions::default(),
-        )
-        .unwrap();
+        let (delta, _) =
+            propagate_batch(exec::Executor::global(), &s, &plan, &col, "bib.xml", &[new], 1)
+                .unwrap();
         let mut roots = before.roots;
         for d in delta {
             deep_union_siblings(&mut roots, d);
@@ -170,7 +157,6 @@ mod tests {
             "bib.xml",
             std::slice::from_ref(&victim),
             -1,
-            ExecOptions::default(),
         )
         .unwrap();
         s.delete_subtree(&victim);
@@ -199,17 +185,9 @@ mod tests {
                 .child(Frag::elem("title").text_child(format!("N{i}")));
             roots_new.push(s.insert_fragment(&bib, InsertPos::Last, &f).unwrap());
         }
-        let (delta, _) = propagate_batch(
-            exec::Executor::global(),
-            &s,
-            &plan,
-            &col,
-            "bib.xml",
-            &roots_new,
-            1,
-            ExecOptions::default(),
-        )
-        .unwrap();
+        let (delta, _) =
+            propagate_batch(exec::Executor::global(), &s, &plan, &col, "bib.xml", &roots_new, 1)
+                .unwrap();
         let mut roots = before.roots;
         for d in delta {
             deep_union_siblings(&mut roots, d);
@@ -222,17 +200,8 @@ mod tests {
         let mut s = Store::new();
         s.load_doc("bib.xml", BIB).unwrap();
         let (plan, col) = translate_query(VIEW).unwrap();
-        let (delta, _) = propagate_batch(
-            exec::Executor::global(),
-            &s,
-            &plan,
-            &col,
-            "bib.xml",
-            &[],
-            1,
-            ExecOptions::default(),
-        )
-        .unwrap();
+        let (delta, _) =
+            propagate_batch(exec::Executor::global(), &s, &plan, &col, "bib.xml", &[], 1).unwrap();
         assert!(delta.is_empty());
     }
 }

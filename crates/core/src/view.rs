@@ -16,7 +16,7 @@ use flexkey::FlexKey;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-use xat::exec::{ExecError, ExecOptions, ExecStats, Executor};
+use xat::exec::{ExecError, ExecStats, Executor};
 use xat::extent::unshare;
 use xat::plan::Plan;
 use xat::translate::{translate_query, TranslateError};
@@ -126,9 +126,8 @@ pub struct MaintView {
     /// copies only the nodes on its path — the rest stay shared with the
     /// capture. Capture is O(views), a mutation O(delta path).
     extent: Arc<ViewExtent>,
-    opts: ExecOptions,
     /// Worker pool the telescoped IMP terms fan out on (the shared global
-    /// pool unless overridden — tests and benches pin private pools).
+    /// pool unless overridden — tests pin private pools).
     pool: exec::Executor,
 }
 
@@ -144,7 +143,6 @@ impl MaintView {
             out_col,
             sapt,
             extent: Arc::default(),
-            opts: ExecOptions::default(),
             pool: exec::Executor::global().clone(),
         })
     }
@@ -208,14 +206,9 @@ impl MaintView {
         self.plan.source_docs()
     }
 
-    /// Execution options used for (re)computation and propagation.
-    pub fn opts(&self) -> ExecOptions {
-        self.opts
-    }
-
     /// Full recomputation over `store` — the §1.2 correctness oracle.
     pub fn compute_extent(&self, store: &Store) -> Result<ViewExtent, MaintError> {
-        let mut ex = Executor::with_options(store, self.opts);
+        let mut ex = Executor::new(store);
         let t = ex.eval(&self.plan)?;
         if t.n_rows() == 0 {
             return Ok(ViewExtent::default());
@@ -242,16 +235,7 @@ impl MaintView {
         frag_roots: &[FlexKey],
         sign: i64,
     ) -> Result<(Vec<Arc<VNode>>, ExecStats), MaintError> {
-        Ok(propagate_batch(
-            &self.pool,
-            store,
-            &self.plan,
-            &self.out_col,
-            doc,
-            frag_roots,
-            sign,
-            self.opts,
-        )?)
+        Ok(propagate_batch(&self.pool, store, &self.plan, &self.out_col, doc, frag_roots, sign)?)
     }
 
     /// Merge a delta update tree into the extent (count-aware deep union):
@@ -417,7 +401,6 @@ mod tests {
         let d = |k: u64| Duration::from_nanos(seed * 1_000 + k);
         let exec = ExecStats {
             total: d(1),
-            order_schema: d(2),
             overriding: d(3),
             semid: d(4),
             final_sort: d(5),

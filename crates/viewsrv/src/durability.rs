@@ -1213,7 +1213,7 @@ impl DurableCatalog {
     }
 
     /// Pin background checkpoint jobs to `pool` instead of the shared
-    /// global one (tests and benches control scheduling this way; a
+    /// global one (tests control scheduling this way; a
     /// one-lane pool makes background checkpoints run inline —
     /// deterministic, like `XQVIEW_POOL_THREADS=1`).
     pub fn set_checkpoint_pool(&mut self, pool: exec::Executor) {

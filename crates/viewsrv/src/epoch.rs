@@ -2,8 +2,9 @@
 //!
 //! The hub serializes **writes** — that is its contract. But routing
 //! *reads* through the same catalog check-out makes every `Query`/`Stats`
-//! request contend with commits and with each other (BENCH_net: p50
-//! collapsing from ~350 µs to ~251 ms at 16 connections). The fix reuses
+//! request contend with commits and with each other (measured on the
+//! open-loop load generator before this module existed: the p50 request
+//! latency collapsed from ~350 µs to ~251 ms at 16 connections). The fix reuses
 //! the machinery PR 5 built for checkpoints: [`Store::frozen`] and
 //! `extent_shared` capture the whole catalog as refcount bumps —
 //! O(documents + views), not O(data) — so publishing a read snapshot

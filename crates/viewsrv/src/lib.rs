@@ -324,7 +324,7 @@ impl ViewCatalog {
     }
 
     /// Pin the catalog — and every registered view's per-term fan-out —
-    /// to `pool` instead of the global one (tests and benches compare
+    /// to `pool` instead of the global one (tests compare
     /// pool sizes inside one process; `exec::Executor::new(1)` forces
     /// fully serial, deterministic execution: no round fans out and every
     /// view's IMP terms run on the calling thread).

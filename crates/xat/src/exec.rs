@@ -32,38 +32,11 @@ use std::time::{Duration, Instant};
 use xmlstore::{NodeData, Store};
 use xquery_lang::{AggFunc, Axis, CmpOp, NodeTest, Step};
 
-/// Execution options: the switches that enable the view-maintenance
-/// machinery (Figure 9.1 measures their cost by comparing on vs. off).
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOptions {
-    /// Generate semantic identifiers from Context Schemas (Ch. 4). When off,
-    /// constructed nodes get cheap synthetic ids (plain execution).
-    pub semantic_ids: bool,
-    /// Propagate count annotations (Ch. 6). When off, all counts are 1.
-    pub counts: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { semantic_ids: true, counts: true }
-    }
-}
-
-impl ExecOptions {
-    /// Plain query execution without maintenance support.
-    pub fn plain() -> ExecOptions {
-        ExecOptions { semantic_ids: false, counts: false }
-    }
-}
-
 /// Cost instrumentation matching the paper's breakdowns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total wall-clock execution time.
     pub total: Duration,
-    /// Order Schema computation (plan annotation; Figures 3.7–3.10 call this
-    /// "Order Schema").
-    pub order_schema: Duration,
     /// Overriding-order key assignment (Combine / XML Union / Tagger).
     pub overriding: Duration,
     /// Semantic identifier generation (Figures 4.9/4.10).
@@ -80,14 +53,9 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    pub fn order_total(&self) -> Duration {
-        self.order_schema + self.overriding + self.final_sort
-    }
-
     /// Accumulate another run's statistics field by field.
     pub fn merge(&mut self, o: &ExecStats) {
         self.total += o.total;
-        self.order_schema += o.order_schema;
         self.overriding += o.overriding;
         self.semid += o.semid;
         self.final_sort += o.final_sort;
@@ -121,10 +89,9 @@ impl std::error::Error for ExecError {}
 
 type EResult<T> = Result<T, ExecError>;
 
-/// The executor. Borrow a store, configure options, run plans.
+/// The executor. Borrow a store, run plans.
 pub struct Executor<'s> {
     pub store: &'s Store,
-    pub opts: ExecOptions,
     pub stats: ExecStats,
     /// Constructed-node arena.
     pub cons: Vec<ConsNode>,
@@ -133,24 +100,17 @@ pub struct Executor<'s> {
     delta: HashMap<String, Vec<FlexKey>>,
     /// Sign emitted by DeltaSource rows (+1 inserts, −1 deletes).
     delta_sign: i64,
-    synth: u32,
 }
 
 impl<'s> Executor<'s> {
     pub fn new(store: &'s Store) -> Executor<'s> {
         Executor {
             store,
-            opts: ExecOptions::default(),
             stats: ExecStats::default(),
             cons: Vec::new(),
             delta: HashMap::new(),
             delta_sign: 1,
-            synth: 0,
         }
-    }
-
-    pub fn with_options(store: &'s Store, opts: ExecOptions) -> Executor<'s> {
-        Executor { opts, ..Executor::new(store) }
     }
 
     /// Register the update fragments of `doc` for an incremental maintenance
@@ -219,8 +179,7 @@ impl<'s> Executor<'s> {
                         .ok_or_else(|| ExecError(format!("unknown document {doc}")))?;
                     let mut item = Item::base(root);
                     item.delta = NavMode::DeltaOnly;
-                    let count = if self.opts.counts { self.delta_sign } else { 1 };
-                    out.rows.push(Row::with_count(vec![Cell::one(item)], count));
+                    out.rows.push(Row::with_count(vec![Cell::one(item)], self.delta_sign));
                 }
             }
             OpKind::ExcludeSource { doc, out: _ } => {
@@ -356,11 +315,6 @@ impl<'s> Executor<'s> {
                             out.rows
                                 .push(Row::with_count(vec![Cell::one(Item::val(val))], row.count));
                         }
-                    }
-                }
-                if !self.opts.counts {
-                    for r in &mut out.rows {
-                        r.count = 1;
                     }
                 }
             }
@@ -1180,10 +1134,8 @@ impl<'s> Executor<'s> {
                         }
                     }
                 }
-                if self.opts.counts {
-                    it.count *= row.count;
-                    it.abs = true;
-                }
+                it.count *= row.count;
+                it.abs = true;
                 items.push(it);
             }
         }
@@ -1239,8 +1191,7 @@ impl<'s> Executor<'s> {
         for (_, rows) in groups {
             let first = &t.rows[rows[0]];
             let mut cells: Vec<Cell> = gis.iter().map(|&i| first.cells[i].clone()).collect();
-            let gcount: i64 =
-                if self.opts.counts { rows.iter().map(|&ri| t.rows[ri].count).sum() } else { 1 };
+            let gcount: i64 = rows.iter().map(|&ri| t.rows[ri].count).sum();
             match func {
                 GroupFunc::Combine { .. } => {
                     // The nested Combine (§2.2.2 "GroupBy … Combine"): items
@@ -1259,10 +1210,8 @@ impl<'s> Executor<'s> {
                                 let own = it.order();
                                 it.ord = Some(ord.compose(own));
                             }
-                            if self.opts.counts {
-                                it.count *= row.count;
-                                it.abs = true;
-                            }
+                            it.count *= row.count;
+                            it.abs = true;
                             items.push(it);
                         }
                     }
@@ -1348,16 +1297,10 @@ impl<'s> Executor<'s> {
             }
             self.stats.overriding += t_over.elapsed();
             // Generate the semantic identifier (composeNodeIds, Fig 4.4).
-            let sem = if self.opts.semantic_ids {
-                let t_sem = Instant::now();
-                let sem = self.compose_node_id(t, row, pattern, out_col);
-                self.stats.semid += t_sem.elapsed();
-                sem
-            } else {
-                self.synth += 1;
-                SemId::constructed(vec![LngAtom::Val(format!("#{}", self.synth))])
-            };
-            let count = if self.opts.counts { row.count } else { 1 };
+            let t_sem = Instant::now();
+            let sem = self.compose_node_id(t, row, pattern, out_col);
+            self.stats.semid += t_sem.elapsed();
+            let count = row.count;
             let id = ConsId(self.cons.len() as u32);
             self.cons.push(ConsNode { sem, name: pattern.name.clone(), attrs, children, count });
             let mut cells = row.cells.clone();

@@ -25,7 +25,7 @@ pub mod value;
 pub mod wirecodec;
 
 pub use context::{ContextSchema, LngCol, LngSpec, OrdSpec};
-pub use exec::{ConsNode, ExecError, ExecOptions, ExecStats, Executor};
+pub use exec::{ConsNode, ExecError, ExecStats, Executor};
 pub use extent::{deep_union_siblings, VNode, ViewExtent};
 pub use plan::{annotate, GroupFunc, OpKind, Operand, PatSlot, Pattern, Plan, Pred};
 pub use table::{ColInfo, Row, XatTable};

@@ -3,7 +3,7 @@
 //! against the view extent the paper shows, plus delta-plan (IMP) execution.
 
 use xat::plan::{annotate, GroupFunc, OpKind, Operand, PatSlot, Pattern, Plan, Pred};
-use xat::{ExecOptions, Executor};
+use xat::Executor;
 use xmlstore::{Frag, InsertPos, Store};
 use xquery_lang::{NodeTest, Step};
 
@@ -154,18 +154,6 @@ fn initial_materialization_matches_figure_1_2b() {
     let s = store();
     let mut plan = figure_2_2_plan();
     assert_eq!(run_to_xml(&s, &mut plan), EXPECTED_FIG_1_2B);
-}
-
-#[test]
-fn plain_execution_options_produce_same_result() {
-    let s = store();
-    let mut plan = figure_2_2_plan();
-    annotate(&mut plan).unwrap();
-    let mut ex = Executor::with_options(&s, ExecOptions::plain());
-    let t = ex.eval(&plan).unwrap();
-    let items = t.rows[0].cells[t.col_idx("col8").unwrap()].items().to_vec();
-    let xml = ex.materialize(&items).unwrap().to_xml();
-    assert_eq!(xml, EXPECTED_FIG_1_2B);
 }
 
 #[test]

@@ -122,8 +122,8 @@
 //! replaying the WAL tail through the ordinary `apply_batch` path — plus
 //! any **sealed log segments chained after it**, when a crash interrupted
 //! a background checkpoint — and discarding a torn final record; restart
-//! cost is proportional to the log tail, not to total data (see the
-//! `fig_recovery` bench):
+//! cost is proportional to the log tail, not to total data (the benchmark's
+//! `restart` workload measures it as `recovery_ms`):
 //!
 //! ```
 //! use xqview::viewsrv::DurableCatalog;
@@ -161,8 +161,8 @@
 //! extents by copy-on-write handle (O(documents + views)), a seal record
 //! closes the old WAL generation, commits continue into the next log at
 //! memory speed, and a detached [`exec`] job encodes and fsyncs the
-//! snapshot (the `fig_checkpoint` bench measures commit latency under
-//! forced rotation). Drain rounds are panic-safe:
+//! snapshot (the benchmark's `restart` workload commits through a rotation
+//! every 32 records). Drain rounds are panic-safe:
 //! a round that unwinds mid-apply hands the catalog back and surfaces a
 //! sticky error instead of deadlocking `shutdown`.
 //!
@@ -181,9 +181,9 @@
 //! exactly that). Epochs are captured only at batch boundaries — never
 //! mid-apply — and expose applied-in-memory state (on a durable catalog
 //! that can precede the group fsync, the same visibility a live
-//! catalog read always had). The `fig_reads` bench measures read
-//! throughput scaling with reader count under concurrent write load,
-//! plus the observed staleness distribution (`epoch/*` metrics).
+//! catalog read always had). The benchmark's `read` workload measures read
+//! latency beside a committing writer, and the `epoch/*` metrics record
+//! the observed staleness distribution.
 //!
 //! ## The network front door
 //!
@@ -202,8 +202,8 @@
 //! ([`ViewCatalog::extent_bytes`] is what travels), `xqview-cli` scripts
 //! the whole protocol from a shell, and [`client::load`] is an open-loop
 //! many-connection generator (latency measured from *scheduled* arrival,
-//! so server queueing is not hidden by coordinated omission) feeding the
-//! `fig_net` bench:
+//! so server queueing is not hidden by coordinated omission) behind
+//! `xqview-cli bench`:
 //!
 //! ```
 //! use xqview::client::Client;
@@ -248,6 +248,6 @@ pub use viewsrv::{
     RotatePolicy, ServiceStats, SessionHandle, SessionReceipt, ViewCatalog, WalSyncStats,
 };
 pub use vpa_core::{MaintStats, MaintView, ResolvedUpdate, Sapt};
-pub use xat::{ExecOptions, ExecStats, Executor, Plan, ViewExtent};
+pub use xat::{ExecStats, Executor, Plan, ViewExtent};
 pub use xmlstore::{Frag, InsertPos, Store};
 pub use xquery_lang::{OpAction, OpKind, UpdateBatch, UpdateOp};

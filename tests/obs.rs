@@ -5,8 +5,7 @@
 //!
 //! * **Merge algebra** — snapshot merge is associative and commutative
 //!   over seeded random registries, so shards and layers can fold in any
-//!   order (the hub folds per-catalog + global; `fig_phases` folds again
-//!   into JSON).
+//!   order (the hub folds per-catalog + global).
 //! * **Capture under concurrent writers** — eight lanes hammer one
 //!   registry while snapshots stream; totals are monotone and histogram
 //!   quantiles stay inside the recorded range: no torn reads, no locks.

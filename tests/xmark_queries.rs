@@ -2,7 +2,6 @@
 //! each query runs end to end, is deterministic, respects its order
 //! semantics, and stays maintainable under updates.
 
-use xqview::xat::exec::ExecOptions;
 use xqview::xat::translate::translate_query;
 use xqview::{Executor, ServiceStats, Store, UpdateBatch, ViewCatalog};
 
@@ -32,7 +31,7 @@ fn site(people: usize) -> Store {
 
 fn run(store: &Store, q: &str) -> String {
     let (plan, col) = translate_query(q).unwrap();
-    let mut ex = Executor::with_options(store, ExecOptions::default());
+    let mut ex = Executor::new(store);
     let t = ex.eval(&plan).unwrap();
     let items = t.rows[0].cells[t.col_idx(&col).unwrap()].items().to_vec();
     ex.materialize(&items).unwrap().to_xml()
