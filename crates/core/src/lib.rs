@@ -41,10 +41,7 @@ pub mod validate;
 pub mod view;
 
 pub use propagate::propagate_batch;
-pub use update::{
-    apply_to_store, resolve_batch, resolve_op, resolve_update_script, resolve_updates,
-    ResolvedUpdate, UpdateKind,
-};
+pub use update::{apply_to_store, resolve_batch, ResolvedUpdate};
 pub use validate::{Relevancy, Sapt};
 pub use view::{MaintError, MaintStats, MaintView};
 // The typed update contract flows through unchanged: re-exported so

@@ -1,8 +1,8 @@
-//! Source update modeling (Ch. 5): resolving parsed XQuery update
-//! statements against the store into concrete *update primitives*.
+//! Source update modeling (Ch. 5): resolving typed XQuery update ops
+//! against the store into concrete *update primitives*.
 //!
-//! A parsed [`UpdateStmt`] binds a variable over a path (possibly with
-//! positional predicates, Fig 1.3(a)) and filters with a `where` clause; a
+//! An [`UpdateOp`] binds a variable over a path (possibly with positional
+//! predicates, Fig 1.3(a)) and filters with a `where` clause; a
 //! [`ResolvedUpdate`] pins the affected node keys. Resolution happens
 //! against the **pre-update** store, which also supplies the *sufficiency*
 //! annotation of §5.2.2: a delete update referencing a node only by a
@@ -13,17 +13,9 @@ use flexkey::FlexKey;
 use std::fmt;
 use xmlstore::{Frag, InsertPos, Store};
 use xquery_lang::{
-    BoolExpr, CmpOp, Expr, InsertPosition, NodeTest, OpAction, PathSource, Step, StepPredicate,
-    UpdateAction, UpdateBatch, UpdateOp, UpdateStmt,
+    BoolExpr, CmpOp, Expr, InsertPosition, NodeTest, OpAction, OpKind, PathSource, Step,
+    StepPredicate, UpdateBatch, UpdateOp,
 };
-
-/// The kind of a resolved update primitive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum UpdateKind {
-    Delete,
-    Insert,
-    Modify,
-}
 
 /// A fully resolved source update primitive (an *update tree* root: the
 /// hierarchy/order information is carried by the FlexKeys themselves).
@@ -47,11 +39,11 @@ impl ResolvedUpdate {
         }
     }
 
-    pub fn kind(&self) -> UpdateKind {
+    pub fn kind(&self) -> OpKind {
         match self {
-            ResolvedUpdate::Insert { .. } => UpdateKind::Insert,
-            ResolvedUpdate::Delete { .. } => UpdateKind::Delete,
-            ResolvedUpdate::ReplaceText { .. } => UpdateKind::Modify,
+            ResolvedUpdate::Insert { .. } => OpKind::Insert,
+            ResolvedUpdate::Delete { .. } => OpKind::Delete,
+            ResolvedUpdate::ReplaceText { .. } => OpKind::Modify,
         }
     }
 
@@ -84,16 +76,6 @@ impl From<xquery_lang::QueryParseError> for UpdateError {
     }
 }
 
-/// Parse an update script and resolve every statement against `store` —
-/// thin legacy wrapper over [`UpdateBatch::from_script`] + [`resolve_batch`];
-/// prefer constructing an [`UpdateBatch`] once and resolving it.
-pub fn resolve_update_script(
-    store: &Store,
-    script: &str,
-) -> Result<Vec<ResolvedUpdate>, UpdateError> {
-    resolve_batch(store, &UpdateBatch::from_script(script)?)
-}
-
 /// Resolve a typed update batch against the (pre-update) store: every op's
 /// target bindings are pinned to concrete node keys, with the §5.2.2
 /// sufficiency annotations extracted. This is the native entry point of the
@@ -111,84 +93,8 @@ pub fn resolve_batch(
 
 /// Resolve one typed op against the (pre-update) store — borrows every
 /// part of the op directly; nothing is cloned until a primitive is built.
-pub fn resolve_op(store: &Store, op: &UpdateOp) -> Result<Vec<ResolvedUpdate>, UpdateError> {
-    resolve_parts(store, op.var(), op.doc(), op.path(), op.filter_expr(), op.action().into())
-}
-
-/// Resolve parsed update statements against the (pre-update) store.
-pub fn resolve_updates(
-    store: &Store,
-    stmts: &[UpdateStmt],
-) -> Result<Vec<ResolvedUpdate>, UpdateError> {
-    let mut out = Vec::new();
-    for stmt in stmts {
-        out.extend(resolve_one(store, stmt)?);
-    }
-    Ok(out)
-}
-
-/// A borrowed view of an update action, unifying the script-side
-/// [`UpdateAction`] and the typed [`OpAction`] so resolution never clones
-/// its input.
-enum ActionRef<'a> {
-    Insert { position: InsertPosition, fragment_xml: &'a str },
-    Delete { rel_path: &'a [Step] },
-    Replace { rel_path: &'a [Step], new_value: &'a str },
-}
-
-impl<'a> From<&'a UpdateAction> for ActionRef<'a> {
-    fn from(a: &'a UpdateAction) -> ActionRef<'a> {
-        match a {
-            UpdateAction::InsertAfter { fragment_xml } => {
-                ActionRef::Insert { position: InsertPosition::After, fragment_xml }
-            }
-            UpdateAction::InsertBefore { fragment_xml } => {
-                ActionRef::Insert { position: InsertPosition::Before, fragment_xml }
-            }
-            UpdateAction::InsertInto { fragment_xml } => {
-                ActionRef::Insert { position: InsertPosition::Into, fragment_xml }
-            }
-            UpdateAction::Delete { rel_path } => ActionRef::Delete { rel_path },
-            UpdateAction::ReplaceWith { rel_path, new_value } => {
-                ActionRef::Replace { rel_path, new_value }
-            }
-        }
-    }
-}
-
-impl<'a> From<&'a OpAction> for ActionRef<'a> {
-    fn from(a: &'a OpAction) -> ActionRef<'a> {
-        match a {
-            OpAction::Insert { position, fragment_xml } => {
-                ActionRef::Insert { position: *position, fragment_xml }
-            }
-            OpAction::Delete { rel_path } => ActionRef::Delete { rel_path },
-            OpAction::ReplaceText { rel_path, new_value } => {
-                ActionRef::Replace { rel_path, new_value }
-            }
-        }
-    }
-}
-
-fn resolve_one(store: &Store, stmt: &UpdateStmt) -> Result<Vec<ResolvedUpdate>, UpdateError> {
-    resolve_parts(
-        store,
-        &stmt.var,
-        &stmt.doc,
-        &stmt.path,
-        stmt.where_.as_ref(),
-        (&stmt.action).into(),
-    )
-}
-
-fn resolve_parts(
-    store: &Store,
-    var: &str,
-    doc: &str,
-    path: &[Step],
-    where_: Option<&BoolExpr>,
-    action: ActionRef<'_>,
-) -> Result<Vec<ResolvedUpdate>, UpdateError> {
+fn resolve_op(store: &Store, op: &UpdateOp) -> Result<Vec<ResolvedUpdate>, UpdateError> {
+    let (var, doc, path, where_) = (op.var(), op.doc(), op.path(), op.filter_expr());
     let handle =
         store.doc_handle(doc).ok_or_else(|| UpdateError(format!("unknown document {doc}")))?;
     // Bind the target variable: through the path-value index when one of
@@ -203,8 +109,8 @@ fn resolve_parts(
     }
     let mut out = Vec::new();
     for target in bindings {
-        match &action {
-            ActionRef::Insert { position, fragment_xml } => {
+        match op.action() {
+            OpAction::Insert { position, fragment_xml } => {
                 let frag = xmlstore::parse_document(fragment_xml)
                     .map_err(|e| UpdateError(e.to_string()))?;
                 let (parent, pos) = match position {
@@ -224,7 +130,7 @@ fn resolve_parts(
                 };
                 out.push(ResolvedUpdate::Insert { doc: doc.to_string(), parent, pos, frag });
             }
-            ActionRef::Delete { rel_path } => {
+            OpAction::Delete { rel_path } => {
                 let victims = if rel_path.is_empty() {
                     vec![target.clone()]
                 } else {
@@ -239,7 +145,7 @@ fn resolve_parts(
                     out.push(ResolvedUpdate::Delete { doc: doc.to_string(), target: v, frag });
                 }
             }
-            ActionRef::Replace { rel_path, new_value } => {
+            OpAction::ReplaceText { rel_path, new_value } => {
                 let victims = if rel_path.is_empty() {
                     vec![target.clone()]
                 } else {
@@ -249,7 +155,7 @@ fn resolve_parts(
                     out.push(ResolvedUpdate::ReplaceText {
                         doc: doc.to_string(),
                         target: v,
-                        new_value: (*new_value).to_string(),
+                        new_value: new_value.clone(),
                     });
                 }
             }
@@ -295,7 +201,7 @@ fn indexed_bindings(
     // Document order puts the nodes below one binding side by side.
     bindings.dedup();
     if let Some(StepPredicate::Cmp { path, op, value }) = &last.predicate {
-        bindings.retain(|k| path_values(store, k, path).iter().any(|v| cmp_str(v, *op, value)));
+        bindings.retain(|k| path_values(store, k, path).iter().any(|v| holds(v, *op, value)));
     }
     Some(bindings)
 }
@@ -346,11 +252,7 @@ fn step_hits<'a>(
 /// Evaluate location steps (with positional / comparison predicates) from a
 /// node — the small navigator used for update-target binding only; view
 /// evaluation uses the full engine.
-pub fn eval_steps(
-    store: &Store,
-    from: &FlexKey,
-    steps: &[Step],
-) -> Result<Vec<FlexKey>, UpdateError> {
+fn eval_steps(store: &Store, from: &FlexKey, steps: &[Step]) -> Result<Vec<FlexKey>, UpdateError> {
     let mut frontier = vec![from.clone()];
     for step in steps {
         if matches!(step.test, NodeTest::Attr(_)) {
@@ -369,7 +271,7 @@ pub fn eval_steps(
                     hits.nth(before).into_iter().collect()
                 }
                 Some(StepPredicate::Cmp { path, op, value }) => hits
-                    .filter(|k| path_values(store, k, path).iter().any(|v| cmp_str(v, *op, value)))
+                    .filter(|k| path_values(store, k, path).iter().any(|v| holds(v, *op, value)))
                     .collect(),
             }
         };
@@ -386,7 +288,7 @@ fn eval_where(store: &Store, target: &FlexKey, var: &str, w: &BoolExpr) -> bool 
         BoolExpr::Cmp { lhs, op, rhs } => {
             let lv = operand_values(store, target, var, lhs);
             let rv = operand_values(store, target, var, rhs);
-            lv.iter().any(|a| rv.iter().any(|b| cmp_str(a, *op, b)))
+            lv.iter().any(|a| rv.iter().any(|b| holds(a, *op, b)))
         }
     }
 }
@@ -432,11 +334,9 @@ fn path_values(store: &Store, from: &FlexKey, steps: &[Step]) -> Vec<String> {
     values
 }
 
-fn cmp_str(a: &str, op: CmpOp, b: &str) -> bool {
-    let ord = match (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
-        (Ok(x), Ok(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-        _ => a.cmp(b),
-    };
+/// Whether `a op b` holds under the value rule, [`xmlstore::compare`].
+fn holds(a: &str, op: CmpOp, b: &str) -> bool {
+    let ord = xmlstore::compare(a, b);
     match op {
         CmpOp::Eq => ord == std::cmp::Ordering::Equal,
         CmpOp::Ne => ord != std::cmp::Ordering::Equal,
@@ -485,15 +385,18 @@ mod tests {
         s
     }
 
+    fn resolve_script(s: &Store, script: &str) -> Vec<ResolvedUpdate> {
+        resolve_batch(s, &UpdateBatch::from_script(script).unwrap()).unwrap()
+    }
+
     #[test]
     fn resolve_positional_insert_figure_1_3a() {
         let s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book[2]
                update $b insert <book year="1994"><title>Advanced</title></book> after $b"#,
-        )
-        .unwrap();
+        );
         assert_eq!(ups.len(), 1);
         let ResolvedUpdate::Insert { parent, pos, frag, .. } = &ups[0] else { panic!() };
         let books = s.children_named(&s.doc_root("bib.xml").unwrap(), "book");
@@ -505,13 +408,12 @@ mod tests {
     #[test]
     fn resolve_predicate_delete_with_sufficiency_annotation() {
         let s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book
                where $b/title = "Data on the Web"
                update $b delete $b"#,
-        )
-        .unwrap();
+        );
         assert_eq!(ups.len(), 1);
         let ResolvedUpdate::Delete { target, frag, .. } = &ups[0] else { panic!() };
         // The annotation carries the whole fragment, including the year
@@ -525,15 +427,14 @@ mod tests {
     #[test]
     fn resolve_replace() {
         let mut s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book
                where $b/@year = "1994"
                update $b replace $b/title/text() with "TCP/IP Illustrated 2e""#,
-        )
-        .unwrap();
+        );
         assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].kind(), UpdateKind::Modify);
+        assert_eq!(ups[0].kind(), OpKind::Modify);
         apply_to_store(&mut s, &ups[0]).unwrap();
         let books = s.children_named(&s.doc_root("bib.xml").unwrap(), "book");
         let title = s.children_named(&books[0], "title")[0].clone();
@@ -543,21 +444,19 @@ mod tests {
     #[test]
     fn apply_insert_and_delete_roundtrip() {
         let mut s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book[1]
                update $b insert <book year="1990"><title>Old</title></book> before $b"#,
-        )
-        .unwrap();
+        );
         let new_root = apply_to_store(&mut s, &ups[0]).unwrap();
         let books = s.children_named(&s.doc_root("bib.xml").unwrap(), "book");
         assert_eq!(books.len(), 3);
         assert_eq!(books[0], new_root, "inserted before the first book");
-        let dels = resolve_update_script(
+        let dels = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book where $b/@year = "1990" update $b delete $b"#,
-        )
-        .unwrap();
+        );
         apply_to_store(&mut s, &dels[0]).unwrap();
         assert_eq!(s.children_named(&s.doc_root("bib.xml").unwrap(), "book").len(), 2);
     }
@@ -565,28 +464,23 @@ mod tests {
     #[test]
     fn where_clause_filters_multiple_targets() {
         let s = store();
-        let ups = resolve_update_script(
-            &s,
-            r#"for $b in document("bib.xml")/bib/book update $b delete $b"#,
-        )
-        .unwrap();
+        let ups =
+            resolve_script(&s, r#"for $b in document("bib.xml")/bib/book update $b delete $b"#);
         assert_eq!(ups.len(), 2, "no where ⇒ all books bound");
-        let filtered = resolve_update_script(
+        let filtered = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book where $b/@year = "1492" update $b delete $b"#,
-        )
-        .unwrap();
+        );
         assert!(filtered.is_empty());
     }
 
     #[test]
     fn numeric_where_comparison() {
         let s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book where $b/@year > 1995 update $b delete $b"#,
-        )
-        .unwrap();
+        );
         assert_eq!(ups.len(), 1);
         let ResolvedUpdate::Delete { frag, .. } = &ups[0] else { panic!() };
         assert_eq!(frag.data.attr("year"), Some("2000"));
@@ -692,6 +586,44 @@ mod tests {
         assert_eq!(assert_binds_alike(&s, &anywhere.unwrap(), false), books[1..]);
     }
 
+    /// The one value rule, [`xmlstore::compare`], through all three of its
+    /// call sites: XAT's value comparison, a filtered update's target
+    /// binding, and the path index (which declines whenever a NaN is in
+    /// play, since NaN equals every number).
+    #[test]
+    fn value_rule_agrees_at_every_call_site() {
+        use std::cmp::Ordering;
+        use xat::value::Atomic;
+        let values = ["70", "70.0", " 70.00 ", "7e1x", "NaN", "-0", "0", "", "abc", "1e2", "100"];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let verdict = |ord: Ordering, op| match op {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        };
+        let nan = |v: &str| xmlstore::number(v).is_some_and(f64::is_nan);
+        for a in values {
+            let mut s = Store::new();
+            s.load_doc("v.xml", &format!("<r><e><v>{a}</v></e></r>")).unwrap();
+            for b in values {
+                let ord = xmlstore::compare(a, b);
+                assert_eq!(Atomic::new(a).val_cmp(&Atomic::new(b)), ord, "{a:?} vs {b:?}");
+                for op in ops {
+                    let filtered = UpdateOp::delete("v.xml", "/r/e").unwrap().filter("v", op, b);
+                    let batch = UpdateBatch::new().with(filtered.unwrap());
+                    let bound = resolve_batch(&s, &batch).unwrap().len();
+                    assert_eq!(bound, usize::from(verdict(ord, op)), "{a:?} {op:?} {b:?}");
+                }
+                let looked_up = s.nodes_by_value("v.xml", &["r", "e", "v"], b).map(|k| k.len());
+                let want = (!nan(a) && !nan(b)).then_some(usize::from(ord.is_eq()));
+                assert_eq!(looked_up, want, "index: {a:?} = {b:?}");
+            }
+        }
+    }
+
     /// `[0]` cannot be parsed or decoded; a hand-built statement carrying
     /// it gets an error, not a `skip(n - 1)` underflow.
     #[test]
@@ -706,12 +638,11 @@ mod tests {
     #[test]
     fn update_size_counts_payload_nodes() {
         let s = store();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in document("bib.xml")/bib/book[1]
                update $b insert <x><y/><z>t</z></x> into $b"#,
-        )
-        .unwrap();
+        );
         assert_eq!(ups[0].size(), 4, "x, y, z, text");
     }
 }

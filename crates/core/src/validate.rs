@@ -8,7 +8,7 @@
 //! update touching it can change tuple membership or order, not just
 //! exposed content).
 
-use crate::update::{ResolvedUpdate, UpdateKind};
+use crate::update::ResolvedUpdate;
 use flexkey::FlexKey;
 use std::collections::BTreeMap;
 use xat::plan::{GroupFunc, OpKind, Operand, Plan};
@@ -94,7 +94,7 @@ impl Sapt {
         }
         match (relevant, u.kind(), sensitive_hit) {
             (false, _, _) => Relevancy::Irrelevant,
-            (true, UpdateKind::Modify, false) => Relevancy::RelevantContentOnly,
+            (true, xquery_lang::OpKind::Modify, false) => Relevancy::RelevantContentOnly,
             (true, _, _) => Relevancy::Relevant,
         }
     }
@@ -183,14 +183,14 @@ fn update_names(store: &Store, u: &ResolvedUpdate) -> (Vec<String>, Vec<String>)
 fn path_intersects(
     anchor: &[String],
     payload_roots: &[String],
-    kind: UpdateKind,
+    kind: xquery_lang::OpKind,
     steps: &[Step],
 ) -> bool {
     // Build the update's effective path: anchor names, plus the payload root
     // for inserts (the new node's own path).
     let mut full: Vec<Vec<String>> = Vec::new();
     match kind {
-        UpdateKind::Insert => {
+        xquery_lang::OpKind::Insert => {
             for r in payload_roots {
                 let mut v = anchor.to_vec();
                 v.push(r.clone());
@@ -293,8 +293,9 @@ fn mark_sensitive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::resolve_update_script;
+    use crate::update::resolve_batch;
     use xat::translate::translate_query;
+    use xquery_lang::UpdateBatch;
 
     const BIB: &str = r#"<bib>
         <book year="1994"><title>TCP/IP Illustrated</title></book>
@@ -306,6 +307,10 @@ mod tests {
         where $b/@year = "1994"
         return <t>{$b/title}</t>
     }</r>"#;
+
+    fn resolve_script(s: &Store, script: &str) -> Vec<ResolvedUpdate> {
+        resolve_batch(s, &UpdateBatch::from_script(script).unwrap()).unwrap()
+    }
 
     fn setup() -> (Store, Sapt) {
         let mut s = Store::new();
@@ -331,11 +336,8 @@ mod tests {
     #[test]
     fn update_to_unreferenced_document_is_irrelevant() {
         let (s, sapt) = setup();
-        let ups = resolve_update_script(
-            &s,
-            r#"for $x in doc("other.xml")/o/x update $x replace $x with "2""#,
-        )
-        .unwrap();
+        let ups =
+            resolve_script(&s, r#"for $x in doc("other.xml")/o/x update $x replace $x with "2""#);
         assert_eq!(sapt.classify(&s, &ups[0]), Relevancy::Irrelevant);
     }
 
@@ -344,28 +346,22 @@ mod tests {
         // Inserting a <journal> under /bib does not touch a /bib/book view
         // (§5.2.1: relevance is more than predicates — path structure).
         let (s, sapt) = setup();
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $r in doc("bib.xml")/bib update $r insert <journal><title>X</title></journal> into $r"#,
-        )
-        .unwrap();
+        );
         assert_eq!(sapt.classify(&s, &ups[0]), Relevancy::Irrelevant);
     }
 
     #[test]
     fn book_insert_and_delete_are_relevant() {
         let (s, sapt) = setup();
-        let ins = resolve_update_script(
+        let ins = resolve_script(
             &s,
             r#"for $r in doc("bib.xml")/bib update $r insert <book year="1999"/> into $r"#,
-        )
-        .unwrap();
+        );
         assert_eq!(sapt.classify(&s, &ins[0]), Relevancy::Relevant);
-        let del = resolve_update_script(
-            &s,
-            r#"for $b in doc("bib.xml")/bib/book[1] update $b delete $b"#,
-        )
-        .unwrap();
+        let del = resolve_script(&s, r#"for $b in doc("bib.xml")/bib/book[1] update $b delete $b"#);
         assert_eq!(sapt.classify(&s, &del[0]), Relevancy::Relevant);
     }
 
@@ -373,11 +369,10 @@ mod tests {
     fn modify_of_exposed_content_is_content_only() {
         let (s, sapt) = setup();
         // title text is exposed but not used in any predicate.
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $b in doc("bib.xml")/bib/book[1] update $b replace $b/title/text() with "New""#,
-        )
-        .unwrap();
+        );
         assert_eq!(sapt.classify(&s, &ups[0]), Relevancy::RelevantContentOnly);
     }
 
@@ -398,11 +393,10 @@ mod tests {
         let (plan, _) =
             translate_query(r#"<r>{ for $t in doc("bib.xml")//title return $t }</r>"#).unwrap();
         let sapt = Sapt::from_plan(&plan);
-        let ups = resolve_update_script(
+        let ups = resolve_script(
             &s,
             r#"for $r in doc("bib.xml")/bib update $r insert <anything/> into $r"#,
-        )
-        .unwrap();
+        );
         assert_eq!(sapt.classify(&s, &ups[0]), Relevancy::Relevant);
     }
 }

@@ -73,17 +73,18 @@ pub fn modify_prices_script(start_idx: usize, n: usize, new_price: &str) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xquery_lang::parse_updates;
+    use xquery_lang::UpdateBatch;
 
     #[test]
     fn scripts_parse_as_update_batches() {
+        let ops = |script: &str| UpdateBatch::from_script(script).unwrap().len();
         let cfg = BibConfig::default();
         let ins = insert_books_script(&cfg, 100, 5, Some(1994));
-        assert_eq!(parse_updates(&ins).unwrap().len(), 5);
+        assert_eq!(ops(&ins), 5);
         let del = delete_books_script(0, 3);
-        assert_eq!(parse_updates(&del).unwrap().len(), 3);
+        assert_eq!(ops(&del), 3);
         let m = modify_prices_script(0, 2, "9.99");
-        assert_eq!(parse_updates(&m).unwrap().len(), 2);
-        assert_eq!(parse_updates(&delete_year_script(1994)).unwrap().len(), 1);
+        assert_eq!(ops(&m), 2);
+        assert_eq!(ops(&delete_year_script(1994)), 1);
     }
 }

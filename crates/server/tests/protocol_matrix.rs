@@ -262,10 +262,16 @@ fn malformed_input_matrix() {
             Ok(_) => {}
             Err(e) => panic!("hello: {e}"),
         }
-        let mut stmt = xquery_lang::UpdateOp::delete("bib.xml", "/bib/book[1]").unwrap().to_stmt();
-        stmt.path[1].predicate = Some(xquery_lang::StepPredicate::Position(0));
-        let batch = xquery_lang::UpdateBatch::new().with(xquery_lang::UpdateOp::from_stmt(stmt));
-        proto::send(&mut s, &Request::Submit(batch)).unwrap();
+        // Encode `/bib/book[1]`, then make its position 0: the request ends
+        // `[1]` (Some, Position, 1), no filter (0), delete (1) of no path (0).
+        let op = xquery_lang::UpdateOp::delete("bib.xml", "/bib/book[1]").unwrap();
+        let mut payload = wire::to_vec(&Request::Submit(xquery_lang::UpdateBatch::new().with(op)));
+        let n = payload.len();
+        assert_eq!(payload[n - 6..], [1, 1, 1, 0, 1, 0]);
+        payload[n - 4] = 0;
+        let mut frame = Vec::new();
+        wire::frame::write_frame(&mut frame, &payload);
+        s.write_all(&frame).unwrap();
         match reaction(&mut s, "position zero") {
             Outcome::TypedError(ErrorKind::Protocol) => {}
             other => panic!("position zero: {other:?}"),

@@ -66,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vpa_core::update::{self, ResolvedUpdate, UpdateError, UpdateKind};
+use vpa_core::update::{self, ResolvedUpdate, UpdateError};
 use vpa_core::validate::Relevancy;
 use vpa_core::view::{text_node_key, widen_modify, MaintView};
 use vpa_core::{MaintError, MaintStats};
@@ -562,12 +562,12 @@ impl ViewCatalog {
             let mut inserts: Vec<(ResolvedUpdate, Vec<usize>)> = Vec::new();
             for (u, rel) in routed.iter().filter(|(u, _)| u.doc() == doc) {
                 match u.kind() {
-                    UpdateKind::Delete => {
+                    OpKind::Delete => {
                         let ResolvedUpdate::Delete { target, .. } = u else { unreachable!() };
                         deletes.push((target.clone(), rel.iter().map(|(i, _)| *i).collect()));
                     }
-                    UpdateKind::Modify => modifies.push((u.clone(), rel.clone())),
-                    UpdateKind::Insert => {
+                    OpKind::Modify => modifies.push((u.clone(), rel.clone())),
+                    OpKind::Insert => {
                         inserts.push((u.clone(), rel.iter().map(|(i, _)| *i).collect()));
                     }
                 }

@@ -6,9 +6,10 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// An atomic (typeless) value, kept textual as in the paper's data model
-/// ("atomic values are treated as text nodes", §2.2.1). Comparisons are
-/// numeric when both sides parse as numbers, textual otherwise — XQuery's
-/// untyped-data comparison behaviour for the subset used here.
+/// ("atomic values are treated as text nodes", §2.2.1). Comparisons follow
+/// the stack's one value rule, [`xmlstore::compare`]: numeric when both
+/// sides parse as numbers, textual otherwise — XQuery's untyped-data
+/// comparison behaviour for the subset used here.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Atomic(pub String);
 
@@ -22,15 +23,12 @@ impl Atomic {
     }
 
     pub fn as_num(&self) -> Option<f64> {
-        self.0.trim().parse::<f64>().ok()
+        xmlstore::number(&self.0)
     }
 
-    /// Value comparison with numeric coercion.
+    /// Value comparison with numeric coercion ([`xmlstore::compare`]).
     pub fn val_cmp(&self, other: &Atomic) -> Ordering {
-        match (self.as_num(), other.as_num()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-            _ => self.0.cmp(&other.0),
-        }
+        xmlstore::compare(&self.0, &other.0)
     }
 
     /// An order atom encoding this value (numeric encoding when numeric, so

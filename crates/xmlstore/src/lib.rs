@@ -32,3 +32,23 @@ pub mod wirecodec;
 pub use frag::{Frag, NodeData};
 pub use parse::{parse_document, ParseError};
 pub use store::{Doc, InsertPos, Node, Store};
+
+use std::cmp::Ordering;
+
+/// A value as a number, when its trimmed text parses as one. With
+/// [`compare`], the one value rule of the stack: view evaluation, update
+/// filters and the path-value index all call it.
+#[inline]
+pub fn number(text: &str) -> Option<f64> {
+    text.trim().parse::<f64>().ok()
+}
+
+/// Compare two values: as numbers when both are ([`number`]), as text
+/// otherwise. An unordered pair (a NaN) is `Equal`.
+#[inline]
+pub fn compare(a: &str, b: &str) -> Ordering {
+    match (number(a), number(b)) {
+        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+        _ => a.cmp(b),
+    }
+}

@@ -11,15 +11,15 @@
 //!   it), and [`ValueKey::Opaque`] otherwise.
 //!
 //! Values are normalised the way every comparison in the system equates
-//! them: numerically when the trimmed text parses as a number (`"70"` and
-//! `"70.0"` share an entry run), textually otherwise. A value that cannot
-//! be equated by key — an element whose string value spans a subtree, or
-//! text that parses as NaN, which the engine's comparison treats as equal
-//! to every number — is stored as `Opaque`, and one opaque entry at a path
-//! makes every lookup on that path answer "cannot say" so the caller
-//! scans. That is the exactness rule: a lookup returns exactly the nodes a
-//! child-axis navigation plus value comparison would, in document order,
-//! or `None`.
+//! them ([`crate::compare`]): numerically when the trimmed text parses as
+//! a number (`"70"` and `"70.0"` share an entry run), textually otherwise.
+//! A value that cannot be equated by key — an element whose string value
+//! spans a subtree, or text that parses as NaN, which the engine's
+//! comparison treats as equal to every number — is stored as `Opaque`,
+//! and one opaque entry at a path makes every lookup on that path answer
+//! "cannot say" so the caller scans. That is the exactness rule: a lookup
+//! returns exactly the nodes a child-axis navigation plus value comparison
+//! would, in document order, or `None`.
 //!
 //! The index is never written to the wire: [`PathIndex::build`] derives it
 //! from a node stream, and the store's four mutators keep it current
@@ -94,7 +94,7 @@ impl ValueKey {
     }
 
     fn number(text: &str) -> Option<ValueKey> {
-        let n = text.trim().parse::<f64>().ok()?;
+        let n = crate::number(text)?;
         Some(if n.is_nan() { ValueKey::Opaque } else { ValueKey::Num((n + 0.0).to_bits()) })
     }
 }

@@ -17,7 +17,9 @@ pub const SCHEMA_FILE: &str = "ci/obs-schema.txt";
 
 /// Crates whose non-test code must not panic: they face the network,
 /// where a panic turns one defective peer into a process-wide incident.
-const NET_CRATES: &[&str] = &["proto", "server", "client"];
+/// `xquery` is one of them: the server parses view query text a client
+/// sends (`RegisterView`), and `xqview-cli submit` parses user scripts.
+const NET_CRATES: &[&str] = &["proto", "server", "client", "xquery"];
 
 /// The atomic `Ordering` variants (distinguishes `sync::atomic::Ordering`
 /// from `cmp::Ordering`, whose variants are Less/Equal/Greater).

@@ -12,22 +12,21 @@
 //!   inlining (Rule 1), splitting of multi-variable `for` clauses (Rule 2,
 //!   represented structurally), and hoisting of XPath predicates into `where`
 //!   clauses (Rule 3).
-//! * [`update`] — the XQuery update language of \[TIHW01\] used for source
+//! * [`ops`] — the XQuery update language of \[TIHW01\] used for source
 //!   updates (Figure 1.3): `insert … before/after/into`, `delete`,
-//!   `replace … with`.
-//! * [`ops`] — typed update operations ([`UpdateOp`] / [`UpdateBatch`]):
-//!   the programmatic integration contract the maintenance stack consumes,
-//!   constructible via builders or parsed once from script text.
+//!   `replace … with`, as typed operations ([`UpdateOp`] / [`UpdateBatch`]).
+//!   They are the one update AST the maintenance stack consumes, built by
+//!   the builders or parsed once from script text
+//!   ([`UpdateBatch::from_script`], whose parser reuses [`parser`]'s pieces).
 
 pub mod ast;
 pub mod normalize;
 pub mod ops;
 pub mod parser;
-pub mod update;
+mod update;
 pub mod wirecodec;
 
 pub use ast::*;
 pub use normalize::normalize;
 pub use ops::{parse_path, InsertPosition, OpAction, OpKind, UpdateBatch, UpdateOp};
 pub use parser::{parse_query, QueryParseError};
-pub use update::{parse_updates, UpdateAction, UpdateStmt};

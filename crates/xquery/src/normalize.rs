@@ -73,18 +73,14 @@ fn norm_path(p: PathExpr, env: Env) -> Expr {
         },
         PathSource::Doc(_) => p,
     };
-    if !p.steps.iter().any(|s| matches!(s.predicate, Some(StepPredicate::Cmp { .. }))) {
-        return Expr::Path(p);
-    }
     // Hoist comparison predicates: split at the last predicated step:
     //   E1[pred]/rest  ⇒  for $fresh in E1 where $fresh/predpath op lit
     //                     return $fresh/rest
     // Applied innermost-first by recursing on the prefix.
-    let idx = p
-        .steps
-        .iter()
-        .rposition(|s| matches!(s.predicate, Some(StepPredicate::Cmp { .. })))
-        .unwrap();
+    let cmp = |s: &Step| matches!(s.predicate, Some(StepPredicate::Cmp { .. }));
+    let Some(idx) = p.steps.iter().rposition(cmp) else {
+        return Expr::Path(p);
+    };
     let mut prefix_steps = p.steps[..=idx].to_vec();
     let rest = p.steps[idx + 1..].to_vec();
     let Some(StepPredicate::Cmp { path, op, value }) = prefix_steps[idx].predicate.take() else {
@@ -144,6 +140,7 @@ fn norm_flwor(mut f: Flwor, env: Env) -> Expr {
                     // for $v in (for $f in E where P($f) return $f)
                     //   ⇒ for $v in E where P($v)
                     let Flwor { fors: inner_fors, where_, ret, .. } = *inner;
+                    // xqcheck: allow(no-panic) — is_predicate_hoist matched one binding
                     let inner_bind = inner_fors.into_iter().next().unwrap();
                     if let Some(w) = where_ {
                         extra_preds.push(rename_bool(w, &inner_bind.var, &b.var));
@@ -184,10 +181,10 @@ fn norm_flwor(mut f: Flwor, env: Env) -> Expr {
         .collect();
     f.ret = f.ret.map(|r| norm_expr(r, &env2));
     // A FLWOR with no for-bindings left (pure lets) reduces to its return.
-    if f.fors.is_empty() {
-        return f.ret.expect("normalized FLWOR must have a return");
+    match f.ret {
+        Some(ret) if f.fors.is_empty() => ret,
+        _ => Expr::Flwor(Box::new(f)),
     }
-    Expr::Flwor(Box::new(f))
 }
 
 /// Recognize the shape produced by predicate hoisting in [`norm_path`]:

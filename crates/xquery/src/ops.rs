@@ -1,5 +1,5 @@
-//! Typed source-update operations: the programmatic face of the update
-//! language in [`crate::update`].
+//! Typed source-update operations: the one AST of the update language
+//! (Figure 1.3), for scripts and programs alike.
 //!
 //! Every entry point of the maintenance stack used to take a raw
 //! update-script `&str` and re-parse it per call. [`UpdateOp`] and
@@ -48,7 +48,6 @@
 
 use crate::ast::{BoolExpr, CmpOp, Expr, NodeTest, PathExpr, PathSource, Step};
 use crate::parser::{QueryParseError, P};
-use crate::update::{parse_updates, UpdateAction, UpdateStmt};
 
 /// Where an inserted fragment lands relative to the target node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,10 +85,10 @@ pub enum OpAction {
 /// One typed source update: bind targets in `doc` via `path` (optionally
 /// narrowed by `filter`), then perform [`OpAction`] on each binding.
 ///
-/// An `UpdateOp` is exactly as expressive as one parsed update statement —
-/// [`UpdateOp::from_stmt`] and [`UpdateOp::to_stmt`] convert losslessly —
-/// but it can be constructed, inspected, and re-batched without any script
-/// text.
+/// The one AST of the update language: the script parser produces it
+/// ([`UpdateBatch::from_script`]), the builders construct it, and the WAL
+/// encodes it. It can be constructed, inspected, and re-batched without
+/// any script text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateOp {
     /// The bound variable name filters refer to (cosmetic for
@@ -212,7 +211,8 @@ impl UpdateOp {
         }
     }
 
-    /// Reassemble an op from decoded parts (wire codec only).
+    /// Assemble an op from parsed or decoded parts (script parser and
+    /// wire codec).
     pub(crate) fn from_parts(
         var: String,
         doc: String,
@@ -221,56 +221,6 @@ impl UpdateOp {
         action: OpAction,
     ) -> UpdateOp {
         UpdateOp { var, doc, path, filter, action }
-    }
-
-    /// Lift a parsed script statement into a typed op (lossless).
-    pub fn from_stmt(stmt: UpdateStmt) -> UpdateOp {
-        let action = match stmt.action {
-            UpdateAction::InsertAfter { fragment_xml } => {
-                OpAction::Insert { position: InsertPosition::After, fragment_xml }
-            }
-            UpdateAction::InsertBefore { fragment_xml } => {
-                OpAction::Insert { position: InsertPosition::Before, fragment_xml }
-            }
-            UpdateAction::InsertInto { fragment_xml } => {
-                OpAction::Insert { position: InsertPosition::Into, fragment_xml }
-            }
-            UpdateAction::Delete { rel_path } => OpAction::Delete { rel_path },
-            UpdateAction::ReplaceWith { rel_path, new_value } => {
-                OpAction::ReplaceText { rel_path, new_value }
-            }
-        };
-        UpdateOp { var: stmt.var, doc: stmt.doc, path: stmt.path, filter: stmt.where_, action }
-    }
-
-    /// Lower to the parsed-statement form the resolver consumes
-    /// (lossless inverse of [`UpdateOp::from_stmt`]).
-    pub fn to_stmt(&self) -> UpdateStmt {
-        let action = match &self.action {
-            OpAction::Insert { position, fragment_xml } => match position {
-                InsertPosition::After => {
-                    UpdateAction::InsertAfter { fragment_xml: fragment_xml.clone() }
-                }
-                InsertPosition::Before => {
-                    UpdateAction::InsertBefore { fragment_xml: fragment_xml.clone() }
-                }
-                InsertPosition::Into => {
-                    UpdateAction::InsertInto { fragment_xml: fragment_xml.clone() }
-                }
-            },
-            OpAction::Delete { rel_path } => UpdateAction::Delete { rel_path: rel_path.clone() },
-            OpAction::ReplaceText { rel_path, new_value } => UpdateAction::ReplaceWith {
-                rel_path: rel_path.clone(),
-                new_value: new_value.clone(),
-            },
-        };
-        UpdateStmt {
-            var: self.var.clone(),
-            doc: self.doc.clone(),
-            path: self.path.clone(),
-            where_: self.filter.clone(),
-            action,
-        }
     }
 }
 
@@ -290,9 +240,7 @@ impl UpdateBatch {
     /// Parse an update script into a typed batch — the **only** place
     /// script text is parsed; everything downstream consumes the ops.
     pub fn from_script(script: &str) -> Result<UpdateBatch, QueryParseError> {
-        Ok(UpdateBatch {
-            ops: parse_updates(script)?.into_iter().map(UpdateOp::from_stmt).collect(),
-        })
+        Ok(UpdateBatch { ops: crate::update::parse_script(script)? })
     }
 
     /// Append one op.
@@ -409,18 +357,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(built, parsed);
-    }
-
-    #[test]
-    fn stmt_round_trip_is_lossless() {
-        let script = r#"for $b in document("bib.xml")/bib/book[2]
-            where $b/@year = "1994" and $b/title = "X"
-            update $b insert <note>n</note> after $b"#;
-        let stmts = parse_updates(script).unwrap();
-        for stmt in stmts {
-            let op = UpdateOp::from_stmt(stmt.clone());
-            assert_eq!(op.to_stmt(), stmt);
-        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl<'a> P<'a> {
         true
     }
 
-    pub(crate) fn expect(&mut self, tok: &str) -> PResult<()> {
+    pub(crate) fn expect_tok(&mut self, tok: &str) -> PResult<()> {
         if self.b[self.pos..].starts_with(tok.as_bytes()) {
             self.pos += tok.len();
             self.ws();
@@ -103,7 +103,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn try_tok(&mut self, tok: &str) -> bool {
+    pub(crate) fn try_tok(&mut self, tok: &str) -> bool {
         if self.b[self.pos..].starts_with(tok.as_bytes()) {
             self.pos += tok.len();
             self.ws();
@@ -144,7 +144,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn string_lit(&mut self) -> PResult<String> {
+    pub(crate) fn string_lit(&mut self) -> PResult<String> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected string literal")),
@@ -163,10 +163,30 @@ impl<'a> P<'a> {
         Ok(s)
     }
 
+    /// Digits and dots, as written: the number form of a [`P::literal`].
+    fn number_lit(&mut self) -> String {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit() || c == b'.') {
+            self.pos += 1;
+        }
+        let n = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
+        self.ws();
+        n
+    }
+
+    /// A predicate or replacement literal: a quoted string or a number.
+    pub(crate) fn literal(&mut self) -> PResult<String> {
+        match self.peek() {
+            Some(b'"' | b'\'') => self.string_lit(),
+            Some(c) if c.is_ascii_digit() => Ok(self.number_lit()),
+            _ => Err(self.err("expected a quoted string or a number")),
+        }
+    }
+
     // ---- expressions -------------------------------------------------
 
     /// ExprSingle := FLWORExpr | comparison-free operand forms
-    pub(crate) fn expr_single(&mut self) -> PResult<Expr> {
+    fn expr_single(&mut self) -> PResult<Expr> {
         if self.peeking_kw("for") || self.peeking_kw("let") {
             return Ok(Expr::Flwor(Box::new(self.flwor()?)));
         }
@@ -187,7 +207,7 @@ impl<'a> P<'a> {
     }
 
     /// A primary operand: constructor, path, var, literal, function call.
-    pub(crate) fn operand(&mut self) -> PResult<Expr> {
+    fn operand(&mut self) -> PResult<Expr> {
         match self.peek() {
             Some(b'<') => Ok(Expr::Elem(Box::new(self.elem_constructor()?))),
             Some(b'$') => {
@@ -200,19 +220,11 @@ impl<'a> P<'a> {
                 }
             }
             Some(b'"') | Some(b'\'') => Ok(Expr::Literal(self.string_lit()?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|c| c.is_ascii_digit() || c == b'.') {
-                    self.pos += 1;
-                }
-                let n = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
-                self.ws();
-                Ok(Expr::Number(n))
-            }
+            Some(c) if c.is_ascii_digit() => Ok(Expr::Number(self.number_lit())),
             Some(b'(') => {
-                self.expect("(")?;
+                self.expect_tok("(")?;
                 let e = self.expr_single()?;
-                self.expect(")")?;
+                self.expect_tok(")")?;
                 Ok(e)
             }
             _ => {
@@ -222,16 +234,16 @@ impl<'a> P<'a> {
                 self.ws();
                 match name.to_ascii_lowercase().as_str() {
                     "doc" | "document" => {
-                        self.expect("(")?;
+                        self.expect_tok("(")?;
                         let d = self.string_lit()?;
-                        self.expect(")")?;
+                        self.expect_tok(")")?;
                         let steps = self.steps()?;
                         Ok(Expr::Path(PathExpr::new(PathSource::Doc(d), steps)))
                     }
                     "distinct-values" => {
-                        self.expect("(")?;
+                        self.expect_tok("(")?;
                         let e = self.expr_single()?;
-                        self.expect(")")?;
+                        self.expect_tok(")")?;
                         Ok(Expr::DistinctValues(Box::new(e)))
                     }
                     "count" | "sum" | "avg" | "min" | "max" => {
@@ -242,9 +254,9 @@ impl<'a> P<'a> {
                             "min" => AggFunc::Min,
                             _ => AggFunc::Max,
                         };
-                        self.expect("(")?;
+                        self.expect_tok("(")?;
                         let e = self.expr_single()?;
-                        self.expect(")")?;
+                        self.expect_tok(")")?;
                         Ok(Expr::Agg { func, arg: Box::new(e) })
                     }
                     _ => {
@@ -293,7 +305,7 @@ impl<'a> P<'a> {
     }
 
     fn step_predicate(&mut self) -> PResult<StepPredicate> {
-        self.expect("[")?;
+        self.expect_tok("[")?;
         // positional?
         if self.peek().is_some_and(|c| c.is_ascii_digit()) {
             let start = self.pos;
@@ -301,14 +313,14 @@ impl<'a> P<'a> {
                 self.pos += 1;
             }
             let n: usize = std::str::from_utf8(&self.b[start..self.pos])
-                .unwrap()
-                .parse()
-                .map_err(|_| self.err("bad position"))?;
+                .ok()
+                .and_then(|digits| digits.parse().ok())
+                .ok_or_else(|| self.err("bad position"))?;
             if n == 0 {
                 return Err(self.err("positions are 1-based: [0] selects nothing"));
             }
             self.ws();
-            self.expect("]")?;
+            self.expect_tok("]")?;
             return Ok(StepPredicate::Position(n));
         }
         // relative path comparison: path op "literal"
@@ -344,24 +356,12 @@ impl<'a> P<'a> {
         }
         self.ws();
         let op = self.cmp_op()?;
-        let value = match self.peek() {
-            Some(b'"') | Some(b'\'') => self.string_lit()?,
-            Some(c) if c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|c| c.is_ascii_digit() || c == b'.') {
-                    self.pos += 1;
-                }
-                let v = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
-                self.ws();
-                v
-            }
-            _ => return Err(self.err("expected literal in predicate")),
-        };
-        self.expect("]")?;
+        let value = self.literal()?;
+        self.expect_tok("]")?;
         Ok(StepPredicate::Cmp { path: rel, op, value })
     }
 
-    pub(crate) fn cmp_op(&mut self) -> PResult<CmpOp> {
+    fn cmp_op(&mut self) -> PResult<CmpOp> {
         for (tok, op) in [
             ("!=", CmpOp::Ne),
             ("<=", CmpOp::Le),
@@ -399,7 +399,7 @@ impl<'a> P<'a> {
             } else if self.kw("let") {
                 loop {
                     let var = self.var()?;
-                    self.expect(":=")?;
+                    self.expect_tok(":=")?;
                     let e = self.expr_single()?;
                     f.lets.push((var, e));
                     if !self.try_tok(",") {
@@ -442,7 +442,7 @@ impl<'a> P<'a> {
         Ok(f)
     }
 
-    fn bool_expr(&mut self) -> PResult<BoolExpr> {
+    pub(crate) fn bool_expr(&mut self) -> PResult<BoolExpr> {
         let mut acc = self.comparison()?;
         while self.kw("and") {
             let rhs = self.comparison()?;
@@ -514,12 +514,11 @@ impl<'a> P<'a> {
                     while self.try_tok(",") {
                         exprs.push(self.expr_single()?);
                     }
-                    self.expect("}")?;
-                    if exprs.len() == 1 {
-                        children.push(exprs.pop().unwrap());
-                    } else {
-                        children.push(Expr::Seq(exprs));
-                    }
+                    self.expect_tok("}")?;
+                    children.push(match <[Expr; 1]>::try_from(exprs) {
+                        Ok([e]) => e,
+                        Err(exprs) => Expr::Seq(exprs),
+                    });
                 }
                 Some(_) => {
                     let start = self.pos;
@@ -559,7 +558,7 @@ impl<'a> P<'a> {
                     self.pos += 1;
                     self.ws();
                     let e = self.expr_single()?;
-                    self.expect("}")?;
+                    self.expect_tok("}")?;
                     if expr.is_some() {
                         return Err(self.err("multiple embedded expressions in one attribute"));
                     }

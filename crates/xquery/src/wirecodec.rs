@@ -543,11 +543,44 @@ mod tests {
         .unwrap();
         let back: UpdateBatch = wire::from_slice(&wire::to_vec(&batch)).unwrap();
         assert_eq!(back, batch);
-        // The decoded ops lower to the same parsed statements (the
-        // resolver's input), not just structurally equal values.
-        for (a, b) in batch.ops().iter().zip(back.ops()) {
-            assert_eq!(a.to_stmt(), b.to_stmt());
-        }
+    }
+
+    /// A script with every action form, braces, single quotes, both step
+    /// predicates and a `where … and …`.
+    const GOLDEN_SCRIPT: &str = r#"
+        for $b in document("bib.xml")/bib/book[2] update $b
+            insert <book year="1994"><title>Advanced</title></book> after $b ;
+        for $b in doc('bib.xml')/bib/book[title = "X"] update $b
+            { insert <note kind='n'>n</note> before $b } ;
+        for $r in doc("bib.xml")/bib update $r insert <x a='>'/> into $r ;
+        for $b in doc("bib.xml")/bib/book
+            where $b/title = "Data on the Web" and $b/@year > 1990 update $b delete $b ;
+        for $b in doc("bib.xml")/bib/book[1] update $b delete $b/title ;
+        for $b in doc('bib.xml')/bib/book where $b/@year = '1994'
+            update $b { replace $b/title/text() with 'TCP/IP 2e' } ;
+        for $e in doc("prices.xml")/prices/entry[price >= 10] update $e
+            replace $e/price with 12.5"#;
+
+    /// The WAL record of [`GOLDEN_SCRIPT`], hex: journals written by
+    /// earlier builds replay only while these bytes hold.
+    const GOLDEN_HEX: &str = "\
+        070162076269622e786d6c0200000362696200000004626f6f6b010102000001303c626f6f6b20796561723d\
+        2231393934223e3c7469746c653e416476616e6365643c2f7469746c653e3c2f626f6f6b3e0162076269622e\
+        786d6c0200000362696200000004626f6f6b0100010000057469746c6500000158000000173c6e6f7465206b\
+        696e643d276e273e6e3c2f6e6f74653e0172076269622e786d6c01000003626962000000020a3c7820613d27\
+        3e272f3e0162076269622e786d6c0200000362696200000004626f6f6b000101000001016201000005746974\
+        6c650000070f44617461206f6e20746865205765620000010162010001047965617200040804313939300100\
+        0162076269622e786d6c0200000362696200000004626f6f6b0101010001010000057469746c650001620762\
+        69622e786d6c0200000362696200000004626f6f6b0001000001016201000104796561720000070431393934\
+        02010000057469746c6500095443502f495020326501650a7072696365732e786d6c02000006707269636573\
+        00000005656e747279010001000005707269636500050231300002010000057072696365000431322e35";
+
+    #[test]
+    fn parsed_batch_wal_bytes_are_golden() {
+        let batch = UpdateBatch::from_script(GOLDEN_SCRIPT).unwrap();
+        assert_eq!(batch.len(), 7);
+        let hex: String = wire::to_vec(&batch).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_HEX);
     }
 
     #[test]
